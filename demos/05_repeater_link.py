@@ -10,8 +10,11 @@ fidelity is the probability the residual error acts trivially on every
 logical Bell pair.
 
 Because the channel is Pauli and the protocol is Clifford, the
-simulation is exact classical syndrome bookkeeping, with a Monte Carlo
-mode for larger blocks.
+simulation is exact classical syndrome bookkeeping: each station's
+decoder sees an error only through its syndrome and logical class, so
+exact mode tracks the distribution of those joint images (2^8 of them
+for the [[7,2]] pair) rather than all 4^n error patterns.  Monte Carlo
+mode samples patterns instead.
 """
 
 from csspair import ErrorModel, ProtocolConfig, exact_logical_fidelity, load_config, run_local_swapping
@@ -27,7 +30,7 @@ print("  largest residual classes:")
 for key, mass in sorted(report.class_breakdown.items(), key=lambda kv: -kv[1])[:4]:
     print(f"    {key}: {mass:.5f}")
 
-# Monte Carlo agrees with the exact enumeration within a few standard
+# Monte Carlo agrees with the exact computation within a few standard
 # errors, and a fixed seed makes runs bit-identical.
 mc = run_local_swapping(load_config("fixtures/sim_pair7_mc.cfg"))
 print(f"\nMonte Carlo: {mc.logical_fidelity:.5f} +- {mc.standard_error:.5f} "

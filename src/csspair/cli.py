@@ -28,7 +28,7 @@ def _emit(report: dict, pretty: bool, out_path: str | None) -> None:
     if pretty:
         text = _render_pretty(report)
     else:
-        text = json.dumps(report, sort_keys=True, indent=2) + "\n"
+        text = json.dumps(report, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if out_path:
         Path(out_path).write_text(text, encoding="utf-8")
     else:

@@ -6,9 +6,15 @@ and the noise left after purification and gate teleportation is a
 per-qubit-pair Pauli mixture: identity with probability 1-f1-f2-f3,
 Z on station A's qubit with f1, X on station B's qubit with f2, and
 the correlated Z(x)X with f3.  Fidelity questions therefore reduce to
-classical syndrome bookkeeping over error patterns; no state vectors
-appear on this path (the statevec module independently validates the
-gate algebra).
+classical syndrome bookkeeping; no state vectors appear on this path
+(the statevec module independently validates the gate algebra).
+
+Each station's decoder sees an error only through a linear map (its
+syndrome and logical-class rows), so exact mode never lists the 4^n
+error patterns: it propagates the joint distribution of both stations'
+images, 2^m values with m <= n + k for CNOT-transversal pairs, one
+qubit at a time.  Monte Carlo mode samples patterns and looks their
+classes up in the same decoders' tables.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -17,9 +23,9 @@ pair; per-pair marginals are reported alongside.
 
 from __future__ import annotations
 
+import math
 import secrets
 from dataclasses import dataclass, field
-from itertools import combinations
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -33,6 +39,11 @@ from .transversality import check_cnot_transversal
 
 MAX_EXACT_PATTERNS = 2**26
 MAX_TABLE_LENGTH = 15
+# Exact mode holds three float64 vectors over the 2^m decoder images.
+EXACT_BYTES_PER_IMAGE = 24
+MAX_EXACT_BYTES = 2**31
+# Monte Carlo draws each seed stream in blocks of this many rows.
+MC_CHUNK_ROWS = 1 << 16
 
 
 @dataclass
@@ -45,7 +56,10 @@ class ErrorModel:
 
     def __post_init__(self):
         for name in ("f1", "f2", "f3"):
-            if getattr(self, name) < 0:
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite")
+            if value < 0:
                 raise ValueError(f"{name} must be nonnegative")
         if self.f1 + self.f2 + self.f3 > 1.0 + 1e-12:
             raise ValueError("f1 + f2 + f3 must not exceed 1")
@@ -83,75 +97,52 @@ def enumerate_error_patterns(n: int, model: ErrorModel):
 class _SyndromeDecoder:
     """Minimum-weight coset-leader decoding for one Pauli species.
 
-    Built from a stabilizer matrix (whose syndromes detect the errors)
-    and a pairing matrix (whose inner products read out the residual
-    logical class).  Ties between equal-weight leaders are broken by
-    the lexicographic order of their support index tuples.
+    Decoding sees an error only through one linear map: the rows of a
+    stabilizer matrix (whose syndromes detect the errors) above the rows
+    of a pairing matrix (whose inner products read out the residual
+    logical class).  Column j of that map is packed into the int
+    `columns[j]`, syndrome bits above the k class bits, so the image of
+    an error is the XOR of the columns on its support.  Error ints put
+    qubit 1 on the most significant bit.  Ties between equal-weight
+    leaders are broken by the lexicographic order of their support
+    index tuples.
     """
 
     def __init__(self, stab: BitMatrix, pairing: BitMatrix):
         n = stab.cols
         if n > MAX_TABLE_LENGTH:
             raise CapacityError(f"coset-leader tables support n <= {MAX_TABLE_LENGTH}")
-        self.n = n
         self.r = stab.rows
         self.k = pairing.rows
-        col_synd = [gf2.vector_to_int(stab.a[:, j]) if self.r else 0 for j in range(n)]
-        col_class = [gf2.vector_to_int(pairing.a[:, j]) if self.k else 0 for j in range(n)]
-        leaders = np.full(1 << self.r, -1, dtype=np.int64)
-        leaders[0] = 0
-        filled = 1
-        for weight in range(1, n + 1):
-            if filled == 1 << self.r:
-                break
-            for support in combinations(range(n), weight):
-                synd = 0
-                err = 0
-                for j in support:
-                    synd ^= col_synd[j]
-                    err |= 1 << (n - 1 - j)
-                if leaders[synd] < 0:
-                    leaders[synd] = err
-                    filled += 1
-                    if filled == 1 << self.r:
-                        break
-        assert filled == 1 << self.r, "stabilizer matrix rows must be independent"
-        self.leaders = leaders
-        self._col_synd = np.array(col_synd, dtype=np.int64)
-        self._col_class = np.array(col_class, dtype=np.int64)
-        # class of each leader, for residual-class lookups
-        self.leader_class = np.array(
-            [self._class_of_int(int(e)) for e in leaders], dtype=np.int64)
+        self.class_mask = (1 << self.k) - 1
+        rows = np.vstack([stab.a, pairing.a]).astype(np.int64)
+        self.columns = (rows << np.arange(len(rows) - 1, -1, -1)[:, None]).sum(axis=0)
+        images = self.images()
+        errors = np.arange(1 << n, dtype=np.int64)
+        mask = errors.size - 1
+        # Rank by weight, then by support tuple: among equal weights the
+        # lexicographically first tuple is the larger int, so rank by its
+        # complement.  The least rank per syndrome is its leader.
+        rank = (np.bitwise_count(errors).astype(np.int64) << n) | (errors ^ mask)
+        unreached = (n + 1) << n
+        best = np.full(1 << self.r, unreached, dtype=np.int64)
+        np.minimum.at(best, images >> self.k, rank)
+        assert best.max() < unreached, "stabilizer matrix rows must be independent"
+        self.leaders = (best & mask) ^ mask
+        self.leader_class = images[self.leaders] & self.class_mask
 
-    def _class_of_int(self, err: int) -> int:
-        c = 0
-        for j in range(self.n):
-            if (err >> (self.n - 1 - j)) & 1:
-                c ^= int(self._col_class[j])
-        return c
-
-    def syndrome_of(self, e: np.ndarray) -> int:
-        s = 0
-        for j in np.nonzero(e)[0]:
-            s ^= int(self._col_synd[j])
-        return s
-
-    def decode(self, e: np.ndarray) -> tuple[np.ndarray, int]:
-        """(correction vector, residual logical class bits as int)."""
-        synd = self.syndrome_of(e)
-        leader = int(self.leaders[synd])
-        correction = gf2.int_to_vector(leader, self.n)
-        residual_class = self._class_of_int(gf2.vector_to_int(e)) ^ int(self.leader_class[synd])
-        return correction, residual_class
+    def images(self) -> np.ndarray:
+        """Packed (syndrome, class) image of every error int 0..2^n-1."""
+        images = np.zeros(1, dtype=np.int64)
+        for column in self.columns[::-1]:
+            images = np.concatenate([images, images ^ column])
+        return images
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(syndrome, residual class) for every error int 0..2^n-1."""
-        synd = np.zeros(1, dtype=np.int64)
-        cls = np.zeros(1, dtype=np.int64)
-        for j in range(self.n - 1, -1, -1):
-            synd = np.concatenate([synd, synd ^ self._col_synd[j]])
-            cls = np.concatenate([cls, cls ^ self._col_class[j]])
-        return synd, cls ^ self.leader_class[synd]
+        images = self.images()
+        synd = images >> self.k
+        return synd, (images & self.class_mask) ^ self.leader_class[synd]
 
 
 _decoder_cache: "WeakKeyDictionary[CssCode, dict]" = WeakKeyDictionary()
@@ -195,10 +186,15 @@ def decode_css(q: CssCode, e_x, e_z) -> tuple[np.ndarray, np.ndarray, LogicalCla
     class is read off by pairing the corrected error against the
     logical representatives.
     """
-    e_x = np.asarray(e_x, dtype=np.uint8) % 2
-    e_z = np.asarray(e_z, dtype=np.uint8) % 2
-    corr_x, x_class = _station_decoder(q, "x").decode(e_x)
-    corr_z, z_class = _station_decoder(q, "z").decode(e_z)
+    decoded = []
+    for species, e in (("x", e_x), ("z", e_z)):
+        dec = _station_decoder(q, species)
+        support = np.flatnonzero(np.asarray(e, dtype=np.uint8) % 2)
+        image = int(np.bitwise_xor.reduce(dec.columns[support], initial=0))
+        synd = image >> dec.k
+        correction = gf2.int_to_vector(int(dec.leaders[synd]), q.n)
+        decoded.append((correction, (image & dec.class_mask) ^ int(dec.leader_class[synd])))
+    (corr_x, x_class), (corr_z, z_class) = decoded
     cls = LogicalClass(
         x=tuple(int(b) for b in gf2.int_to_vector(x_class, q.k)),
         z=tuple(int(b) for b in gf2.int_to_vector(z_class, q.k)),
@@ -269,31 +265,77 @@ def _class_key(k: int, za: int, xb: int) -> str:
     return f"zA={a},xB={b}"
 
 
-def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
-    """Joint class-mass matrix M[za, xb] over all error patterns."""
-    n = qa.n
-    if 4**n > MAX_EXACT_PATTERNS:
-        raise CapacityError(f"exact mode needs 4^n <= {MAX_EXACT_PATTERNS}; n={n} is too large")
-    k = qa.k
-    _, class_a = _station_decoder(qa, "z").tables()
-    _, class_b = _station_decoder(qb, "x").tables()
+def _xor_axes(m: int, c: int) -> tuple[list[int], tuple[int, ...]]:
+    """Shape and axes that turn a 2^m vector p into p[i ^ c] by flipping.
+
+    XOR with c reverses the index bits under each run of set bits of c,
+    so p is reshaped to one axis per run of equal bits and the axes of
+    the set runs are flipped: a view, with no index array.
+    """
+    shape: list[int] = []
+    flips: list[int] = []
+    prev = None
+    for bit in range(m - 1, -1, -1):
+        on = (c >> bit) & 1
+        if on == prev:
+            shape[-1] *= 2
+            continue
+        if on:
+            flips.append(len(shape))
+        shape.append(2)
+        prev = on
+    return shape, tuple(flips)
+
+
+def _image_distribution(cols_a: list[int], cols_b: list[int], m: int,
+                        model: ErrorModel) -> np.ndarray:
+    """Distribution of the joint image of a pattern over 2^m bits.
+
+    Qubit j adds a_j on a Z error at A, b_j on an X error at B and both
+    on the correlated error, so each qubit updates
+    P <- f0 P + f1 P[i ^ a] + f2 P[i ^ b] + f3 P[i ^ a ^ b].  Every term
+    is nonnegative, so images no pattern reaches stay exactly 0.  At
+    most three 2^m vectors are alive at once.
+    """
     f0, f1, f2, f3 = model.weights
-    # Weight of (z_bit, x_bit) per qubit: rows indexed by z.
-    w_for_z = {0: np.array([f0, f2]), 1: np.array([f1, f3])}
-    size = 1 << n
-    breakdown = np.zeros((1 << k, 1 << k), dtype=np.float64)
-    kb = 1 << qb.k
-    for ez in range(size):
-        # Product distribution over all e_x for this fixed e_z pattern,
-        # built low qubit first so qubit 1 lands on the MSB.
-        vec = np.ones(1, dtype=np.float64)
-        for j in range(n - 1, -1, -1):
-            zbit = (ez >> (n - 1 - j)) & 1
-            w0, w1 = w_for_z[zbit]
-            vec = np.concatenate([vec * w0, vec * w1])
-        masses = np.bincount(class_b, weights=vec, minlength=kb)
-        breakdown[class_a[ez]] += masses
-    return breakdown
+    p = np.zeros(1 << m)
+    p[0] = 1.0
+    term = np.empty_like(p)
+    for a, b in zip(cols_a, cols_b):
+        nxt = p * f0
+        for f, c in ((f1, a), (f2, b), (f3, a ^ b)):
+            if f:
+                shape, flips = _xor_axes(m, c)
+                np.multiply(np.flip(p.reshape(shape), flips), f, out=term.reshape(shape))
+                nxt += term
+        p = nxt
+    return p
+
+
+def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
+    """Joint class-mass matrix M[za, xb], exact over all error patterns.
+
+    Both stations decode a pattern through their packed linear maps
+    (Z errors on A, X errors on B), so only its joint image on m bits,
+    ordered (s_A, c_A, s_B, c_B), matters.  The image distribution is
+    folded onto residual classes: (s, c) lands on c ^ leader_class[s].
+    """
+    m = qa.x_stab.rows + qa.k + qb.z_stab.rows + qb.k
+    need = EXACT_BYTES_PER_IMAGE << m
+    if need > MAX_EXACT_BYTES:
+        raise CapacityError(
+            f"exact mode needs {need} bytes for 2^{m} decoder images; the limit is {MAX_EXACT_BYTES}")
+    dec_a = _station_decoder(qa, "z")
+    dec_b = _station_decoder(qb, "x")
+    width_b = dec_b.r + dec_b.k
+    p = _image_distribution([int(c) << width_b for c in dec_a.columns],
+                            dec_b.columns.tolist(), m, model)
+    # Gathering class y ^ leader_class[s] under syndrome s puts residual y in column y.
+    p = p.reshape(1 << dec_a.r, 1 << dec_a.k, 1 << dec_b.r, 1 << dec_b.k)
+    synd_b = np.arange(1 << dec_b.r)[:, None]
+    p = p[:, :, synd_b, np.arange(1 << dec_b.k) ^ dec_b.leader_class[:, None]].sum(axis=2)
+    synd_a = np.arange(1 << dec_a.r)[:, None]
+    return p[synd_a, np.arange(1 << dec_a.k) ^ dec_a.leader_class[:, None]].sum(axis=0)
 
 
 def exact_logical_fidelity(qa: CssCode, qb: CssCode, model: ErrorModel) -> float:
@@ -337,12 +379,14 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
         if block == 0:
             continue
         rng = np.random.default_rng(child)
-        u = rng.random((block, n))
-        cat = (u >= t1).astype(np.int8) + (u >= t2) + (u >= t3)
-        ez = ((cat == 1) | (cat == 3)).astype(np.int64) @ powers
-        ex = ((cat == 2) | (cat == 3)).astype(np.int64) @ powers
-        joint = class_a[ez] * (1 << qb.k) + class_b[ex]
-        counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
+        # Row chunks consume the stream in the same order as one draw.
+        for start in range(0, block, MC_CHUNK_ROWS):
+            u = rng.random((min(MC_CHUNK_ROWS, block - start), n))
+            cat = (u >= t1).astype(np.int8) + (u >= t2) + (u >= t3)
+            ez = ((cat == 1) | (cat == 3)).astype(np.int64) @ powers
+            ex = ((cat == 2) | (cat == 3)).astype(np.int64) @ powers
+            joint = class_a[ez] * (1 << qb.k) + class_b[ex]
+            counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
     return counts
 
 
@@ -365,7 +409,7 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
     if cfg.mode == "exact":
         breakdown = _exact_breakdown(cfg.qa, cfg.qb, cfg.model)
         total = breakdown.sum()
-        if abs(total - 1.0) > 1e-9:
+        if not abs(total - 1.0) <= 1e-9:
             raise AssertionError(f"pattern masses sum to {total}, expected 1")
         fid = float(breakdown[0, 0])
         stderr = None

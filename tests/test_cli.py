@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from dataclasses import replace
 
 import pytest
 
-from csspair import BitMatrix, load_css, save_css
+from csspair import BitMatrix, load_css, repeater, save_css
 from csspair.cli import main
 from csspair.sampling import scramble_encoding
 
@@ -232,3 +233,28 @@ def test_module_entry_point(fixtures_dir):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["verdict"] is True
+
+
+def test_simulate_nan_noise_exits_2(capsys, fixtures_dir, tmp_path):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(
+        f"codeA={fixtures_dir / 'steane.code'}\n"
+        f"codeB={fixtures_dir / 'steane.code'}\n"
+        "f1=nan\n"
+    )
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert "finite" in err
+
+
+def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):
+    real = repeater.run_local_swapping
+
+    def nan_fidelity(cfg):
+        return replace(real(cfg), logical_fidelity=float("nan"))
+
+    monkeypatch.setattr(repeater, "run_local_swapping", nan_fidelity)
+    code, out, _ = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"))
+    assert code == 2
+    assert "NaN" not in out

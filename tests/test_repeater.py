@@ -1,5 +1,6 @@
 """Repeater link simulation: channel enumeration, decoding, fidelity."""
 
+import tracemalloc
 from itertools import combinations, product
 from math import comb
 
@@ -20,8 +21,9 @@ from csspair import (
     make_css,
     run_local_swapping,
 )
-from csspair import gf2
+from csspair import gf2, repeater
 from csspair.errors import CapacityError, NonTransversalError, ParseError
+from csspair.sampling import random_cnot_pair
 
 from conftest import HAMMING_ROWS
 
@@ -106,6 +108,30 @@ def test_decode_logical_representative_lands_in_logical_class(steane, pair7_a):
             assert not any(cls.z)
             expected = tuple(1 if j == i else 0 for j in range(q.k))
             assert cls.x == expected
+
+
+def test_leader_tables_match_weight_then_lexicographic_search():
+    """Leaders equal a first-found search by weight, then by support tuple.
+
+    Equal-weight leaders can differ in logical class, so the tie-break
+    changes fidelity and must not drift.
+    """
+    rng = np.random.default_rng(777)
+    for n in (4, 5, 6, 7, 8, 9, 10):
+        qa, qb = random_cnot_pair(rng, n)
+        for q in (qa, qb):
+            for species, stab, pairing in (("x", q.z_stab, repeater.logical_z_representatives(q)),
+                                           ("z", q.x_stab, q.enc_a)):
+                leaders = {}
+                for weight in range(n + 1):
+                    for support in combinations(range(n), weight):
+                        e = np.zeros(n, dtype=np.uint8)
+                        e[list(support)] = 1
+                        leaders.setdefault(gf2.vector_to_int(stab.a @ e % 2), e)
+                dec = repeater._station_decoder(q, species)
+                for synd, e in leaders.items():
+                    assert int(dec.leaders[synd]) == gf2.vector_to_int(e)
+                    assert int(dec.leader_class[synd]) == gf2.vector_to_int(pairing.a @ e % 2)
 
 
 def test_exact_matches_pattern_enumeration(pair7_a, pair7_b):
@@ -257,3 +283,169 @@ def test_trivial_single_qubit_code_certain_error():
                     make_classical(BitMatrix.identity(1)))
     assert exact_logical_fidelity(full, full, ErrorModel(1.0, 0.0, 0.0)) == 0.0
     assert exact_logical_fidelity(full, full, ErrorModel(0.0, 0.0, 0.0)) == 1.0
+
+
+def test_error_model_rejects_non_finite():
+    for bad in (float("nan"), float("inf"), float("-inf")):
+        for name in ("f1", "f2", "f3"):
+            kwargs = {"f1": 0.0, "f2": 0.0, "f3": 0.0, name: bad}
+            with pytest.raises(ValueError, match="finite"):
+                ErrorModel(**kwargs)
+
+
+def test_config_loader_rejects_nan(tmp_path, fixtures_dir):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text(f"codeA={fixtures_dir / 'steane.code'}\n"
+                   f"codeB={fixtures_dir / 'steane.code'}\nf1=nan\n")
+    with pytest.raises(ParseError, match="finite"):
+        load_config(cfg)
+
+
+def test_exact_mass_check_catches_nan(monkeypatch, pair7_a, pair7_b):
+    monkeypatch.setattr(repeater, "_exact_breakdown",
+                        lambda qa, qb, model: np.full((4, 4), np.nan))
+    cfg = ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.0, 0.0))
+    with pytest.raises(AssertionError, match="sum to nan"):
+        run_local_swapping(cfg)
+
+
+def _digit_tally(qa, qb):
+    """Per residual class (za, xb): how many patterns have each digit count.
+
+    Every pattern of enumerate_error_patterns is decoded with decode_css;
+    a pattern with c1 Z_A, c2 X_B and c3 Z_A X_B digits has probability
+    f0^(n-c1-c2-c3) f1^c1 f2^c2 f3^c3 under any model.
+    """
+    n = qa.n
+    zero = np.zeros(n, dtype=np.uint8)
+    class_a, class_b, tally = {}, {}, {}
+    for e_z, e_x, _ in enumerate_error_patterns(n, ErrorModel(0.0, 0.0, 0.0)):
+        key_z, key_x = e_z.tobytes(), e_x.tobytes()
+        if key_z not in class_a:
+            class_a[key_z] = gf2.vector_to_int(decode_css(qa, zero, e_z)[2].z)
+        if key_x not in class_b:
+            class_b[key_x] = gf2.vector_to_int(decode_css(qb, e_x, zero)[2].x)
+        both = int((e_z & e_x).sum())
+        digits = (int(e_z.sum()) - both, int(e_x.sum()) - both, both)
+        per_class = tally.setdefault((class_a[key_z], class_b[key_x]), {})
+        per_class[digits] = per_class.get(digits, 0) + 1
+    return tally
+
+
+def _enumerated_masses(tally, n, model):
+    f0, f1, f2, f3 = model.weights
+    masses = {}
+    for cls, per_class in tally.items():
+        masses[cls] = sum(count * f0 ** (n - c1 - c2 - c3) * f1**c1 * f2**c2 * f3**c3
+                          for (c1, c2, c3), count in per_class.items())
+    return masses
+
+
+def test_exact_breakdown_matches_enumeration_on_random_pairs():
+    """Propagation over the decoder image vs per-pattern decoding.
+
+    The models have zero components, so some classes are unreachable:
+    both routes must agree on which classes carry mass, not only on the
+    masses.
+    """
+    rng = np.random.default_rng(20261017)
+    sizes = [4] * 8 + [5] * 8 + [6] * 8 + [7] * 4 + [8] * 2
+    for n in sizes:
+        qa, qb = random_cnot_pair(rng, n)
+        tally = _digit_tally(qa, qb)
+        f1, f2 = (float(x) for x in rng.uniform(0.01, 0.3, size=2))
+        models = [ErrorModel(f1, 0.0, 0.0), ErrorModel(0.0, f2, 0.0), ErrorModel(0.0, 0.0, f1),
+                  ErrorModel(f1, f2, 0.0), ErrorModel(0.0, 0.0, 1.0), ErrorModel(0.0, 0.0, 0.0),
+                  ErrorModel(f1 / 2, f2 / 2, 0.05)]
+        for model in models:
+            fast = repeater._exact_breakdown(qa, qb, model)
+            slow = np.zeros_like(fast)
+            for (za, xb), mass in _enumerated_masses(tally, n, model).items():
+                slow[za, xb] = mass
+            assert np.abs(fast - slow).max() <= 1e-12, (n, model)
+            assert np.array_equal(fast > 0.0, slow > 0.0), (n, model)
+
+
+def test_exact_mode_runs_past_pattern_limit():
+    """n = 14 has 4^14 patterns, past MAX_EXACT_PATTERNS, but at most 2^(n+k) images."""
+    qa, qb = random_cnot_pair(np.random.default_rng(14), 14)
+    f = 0.02
+    rep = run_local_swapping(ProtocolConfig(qa=qa, qb=qb, model=ErrorModel(0.0, 0.0, f)))
+    assert sum(rep.class_breakdown.values()) == pytest.approx(1.0, abs=1e-9)
+    # Correlated errors only: e_z = e_x, so summing over the 2^14 patterns
+    # with each station's decoder tables gives the breakdown directly.
+    _, class_a = repeater._station_decoder(qa, "z").tables()
+    _, class_b = repeater._station_decoder(qb, "x").tables()
+    weight = np.bitwise_count(np.arange(1 << 14)).astype(np.int64)
+    prob = f**weight * (1 - f) ** (14 - weight)
+    kb = 1 << qb.k
+    expected = np.bincount(class_a * kb + class_b, weights=prob, minlength=kb * kb)
+    got = np.zeros(kb * kb)
+    for za in range(kb):
+        for xb in range(kb):
+            got[za * kb + xb] = rep.class_breakdown.get(repeater._class_key(qa.k, za, xb), 0.0)
+    assert np.abs(got - expected).max() <= 1e-12
+
+
+def test_exact_capacity_checked_before_allocation():
+    # [[15,15]] with no stabilizers: 2^30 decoder images.
+    full = make_css(make_classical(BitMatrix.identity(15)),
+                    make_classical(BitMatrix.identity(15)))
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2\\^30"):
+            exact_logical_fidelity(full, full, ErrorModel(0.01, 0.0, 0.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_exact_working_set_within_byte_estimate():
+    # [[9,9]] with no stabilizers: 2^18 images, three float64 vectors.
+    full = make_css(make_classical(BitMatrix.identity(9)),
+                    make_classical(BitMatrix.identity(9)))
+    model = ErrorModel(0.01, 0.02, 0.005)
+    exact_logical_fidelity(full, full, model)  # builds the decoders outside the trace
+    tracemalloc.start()
+    try:
+        fid = exact_logical_fidelity(full, full, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fid == pytest.approx((1 - 0.035) ** 9, abs=1e-12)
+    assert peak <= (repeater.EXACT_BYTES_PER_IMAGE << 18) + (1 << 20)
+
+
+def test_montecarlo_chunks_match_one_shot_draw(pair7_a, pair7_b):
+    """Chunked draws consume each seed stream exactly like one big draw."""
+    model = ErrorModel(0.02, 0.01, 0.005)
+    samples, seed, jobs = 2 * repeater.MC_CHUNK_ROWS + 7, 31337, 2
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
+    _, class_a = repeater._station_decoder(pair7_a, "z").tables()
+    _, class_b = repeater._station_decoder(pair7_b, "x").tables()
+    f0, f1, f2, _ = model.weights
+    powers = 1 << np.arange(6, -1, -1)
+    expected = np.zeros_like(counts)
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(jobs)):
+        block = samples // jobs + (1 if w < samples % jobs else 0)
+        assert block > repeater.MC_CHUNK_ROWS
+        u = np.random.default_rng(child).random((block, 7))
+        z = (u >= f0) & ((u < f0 + f1) | (u >= f0 + f1 + f2))
+        x = u >= f0 + f1
+        np.add.at(expected, (class_a[z @ powers], class_b[x @ powers]), 1)
+    assert np.array_equal(counts, expected)
+
+
+def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
+    # One draw of 4e5 x 7 doubles would take 22 MB; chunks stay near 4 MB.
+    cfg = ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.01, 0.0),
+                         mode="montecarlo", samples=400_000, seed=3)
+    run_local_swapping(cfg)  # builds the decoder tables outside the trace
+    tracemalloc.start()
+    try:
+        run_local_swapping(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 12 << 20
