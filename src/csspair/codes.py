@@ -53,9 +53,6 @@ class ClassicalCode:
     def dual(self) -> "ClassicalCode":
         return ClassicalCode(gf2.dual_basis(self.gen))
 
-    def contains(self, vec) -> bool:
-        return gf2.solve_row(self.gen, vec) is not None
-
     def __repr__(self) -> str:
         d = f",{self._d}" if self._d is not None else ""
         return f"ClassicalCode[{self.n},{self.k}{d}]"
@@ -170,26 +167,11 @@ def make_css(c1: ClassicalCode, c2: ClassicalCode, enc_a: BitMatrix | None = Non
     if c1.n != c2.n:
         raise DimensionMismatchError(f"block lengths differ: {c1.n} vs {c2.n}")
     x_stab = c2.dual().gen
-    z_stab = c1.dual().gen
     if not gf2.subspace_leq(x_stab, c1.gen):
         raise ContainmentError(
             f"not a CSS pair: dual(C2) (dim {x_stab.rows}) is not contained in C1"
         )
-    k = c1.k + c2.k - c1.n
-    if enc_a is None:
-        enc_a = gf2.complement_basis(x_stab, c1.gen)
-    else:
-        if enc_a.cols != c1.n:
-            raise EncodingError(f"encoding has {enc_a.cols} columns, code length is {c1.n}")
-        if enc_a.rows != k:
-            raise EncodingError(f"encoding has {enc_a.rows} rows, logical dimension is {k}")
-        for i, row in enumerate(enc_a, start=1):
-            if not c1.contains(row):
-                raise EncodingError(f"encoding row {i} is not a C1 codeword")
-        if gf2.rank(BitMatrix.stack(x_stab, enc_a)) != x_stab.rows + k:
-            raise EncodingError("encoding rows are dependent modulo dual(C2)")
-    assert enc_a.rows == k, "complement dimension must equal k1 + k2 - n"
-    return CssCode(c1=c1, c2=c2, enc_a=enc_a, x_stab=x_stab, z_stab=z_stab, name=name)
+    return _assemble(c1, c2, x_stab, c1.dual().gen, enc_a, name)
 
 
 def make_css_from_stabilizers(x_stab: BitMatrix, z_stab: BitMatrix,
@@ -208,16 +190,36 @@ def make_css_from_stabilizers(x_stab: BitMatrix, z_stab: BitMatrix,
         raise ContainmentError("X and Z stabilizers do not commute (non-orthogonal rows)")
     c1 = ClassicalCode(gf2.dual_basis(zs))
     c2 = ClassicalCode(gf2.dual_basis(xs))
-    code = make_css(c1, c2, enc_a=enc_a, name=name)
-    # Replace the derived stabilizer bases with the supplied ones.
-    return CssCode(c1=code.c1, c2=code.c2, enc_a=code.enc_a, x_stab=xs, z_stab=zs, name=name)
+    return _assemble(c1, c2, xs, zs, enc_a, name)
 
 
 def with_encoding(q: CssCode, enc_a: BitMatrix) -> CssCode:
     """Same code spaces, different (validated) coset representatives."""
-    code = make_css(q.c1, q.c2, enc_a=enc_a, name=q.name)
-    return CssCode(c1=q.c1, c2=q.c2, enc_a=code.enc_a, x_stab=q.x_stab, z_stab=q.z_stab,
-                   name=q.name)
+    return _assemble(q.c1, q.c2, q.x_stab, q.z_stab, enc_a, q.name)
+
+
+def _assemble(c1: ClassicalCode, c2: ClassicalCode, x_stab: BitMatrix, z_stab: BitMatrix,
+              enc_a: BitMatrix | None, name: str) -> CssCode:
+    """The CssCode of a valid CSS pair, given bases x_stab of dual(c2) and z_stab of dual(c1).
+
+    Defaults or validates enc_a; both depend only on the spans of c1
+    and x_stab, so every constructor yields the same encoding.
+    """
+    k = c1.k + c2.k - c1.n
+    if enc_a is None:
+        enc_a = gf2.complement_basis(x_stab, c1.gen)
+    else:
+        if enc_a.cols != c1.n:
+            raise EncodingError(f"encoding has {enc_a.cols} columns, code length is {c1.n}")
+        if enc_a.rows != k:
+            raise EncodingError(f"encoding has {enc_a.rows} rows, logical dimension is {k}")
+        for i, row in enumerate(enc_a, start=1):
+            if not gf2.subspace_leq(BitMatrix(row), c1.gen):
+                raise EncodingError(f"encoding row {i} is not a C1 codeword")
+        if gf2.rank(BitMatrix.stack(x_stab, enc_a)) != x_stab.rows + k:
+            raise EncodingError("encoding rows are dependent modulo dual(C2)")
+    assert enc_a.rows == k, "complement dimension must equal k1 + k2 - n"
+    return CssCode(c1=c1, c2=c2, enc_a=enc_a, x_stab=x_stab, z_stab=z_stab, name=name)
 
 
 def stabilizer_generators(q: CssCode) -> list[StabilizerGenerator]:

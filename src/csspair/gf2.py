@@ -8,11 +8,17 @@ lengths (n up to a few tens); everything is exact, nothing is sparse.
 
 Vectors are 1-indexed in documentation and error messages (qubit 1 is
 the leftmost column); storage is 0-indexed.
+
+Span questions (rank, containment, independence modulo a subspace,
+complements) are all answered by one incremental echelon basis over
+int bitmasks.  Full reduced row-echelon form is computed only where the
+reduced matrix itself is the answer: `rref`, `dual_basis`, `solve_row`
+and `right_identity_transform`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -244,16 +250,6 @@ def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
     return BitMatrix(R), tuple(pivots), len(pivots)
 
 
-def rank(M: BitMatrix) -> int:
-    return rref(M)[2]
-
-
-def row_basis(M: BitMatrix) -> BitMatrix:
-    """Nonzero rows of the RREF: a canonical basis of the row space."""
-    R, _, rk = rref(M)
-    return BitMatrix(R.a[:rk].copy()) if rk else BitMatrix.empty(M.cols)
-
-
 def dual_basis(M: BitMatrix) -> BitMatrix:
     """Basis of the null space {v : M v^T = 0}, i.e. the dual code's generator.
 
@@ -273,29 +269,24 @@ def dual_basis(M: BitMatrix) -> BitMatrix:
     return BitMatrix(out)
 
 
-def subspace_leq(m_sub: BitMatrix, m_sup: BitMatrix) -> bool:
-    """True iff every row of m_sub lies in the row space of m_sup."""
-    if m_sub.cols != m_sup.cols:
-        raise DimensionMismatchError(
-            f"column counts differ: {m_sub.cols} vs {m_sup.cols}"
-        )
-    if m_sub.rows == 0:
-        return True
-    return rank(BitMatrix.stack(m_sup, m_sub)) == rank(m_sup)
+# -- span questions --------------------------------------------------------------
 
 
-def spans_equal(m1: BitMatrix, m2: BitMatrix) -> bool:
-    return subspace_leq(m1, m2) and subspace_leq(m2, m1)
+def _row_words(M: BitMatrix) -> list[int]:
+    """Rows of M as int bitmasks, column 1 most significant."""
+    packed = np.packbits(M.a, axis=1)
+    pad = 8 * packed.shape[1] - M.cols
+    return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
 class _Echelon:
     """Incremental echelon basis over int bitmasks (column 1 = MSB)."""
 
-    def __init__(self, cols: int, seed_rows: Iterable = ()):
-        self.cols = cols
+    def __init__(self, seed: BitMatrix | None = None):
         self.by_pivot: dict[int, int] = {}
-        for row in seed_rows:
-            self.add(vector_to_int(row))
+        if seed is not None:
+            for word in _row_words(seed):
+                self.add(word)
 
     def reduce(self, word: int) -> int:
         while word:
@@ -314,8 +305,33 @@ class _Echelon:
         self.by_pivot[red.bit_length() - 1] = red
         return True
 
-    def contains(self, word: int) -> bool:
-        return self.reduce(word) == 0
+
+def rank(M: BitMatrix) -> int:
+    return len(_Echelon(M).by_pivot)
+
+
+def subspace_leq(m_sub: BitMatrix, m_sup: BitMatrix) -> bool:
+    """True iff every row of m_sub lies in the row space of m_sup."""
+    if m_sub.cols != m_sup.cols:
+        raise DimensionMismatchError(
+            f"column counts differ: {m_sub.cols} vs {m_sup.cols}"
+        )
+    if m_sub.rows == 0:
+        return True
+    ech = _Echelon(m_sup)
+    return not any(ech.reduce(word) for word in _row_words(m_sub))
+
+
+def spans_equal(m1: BitMatrix, m2: BitMatrix) -> bool:
+    return subspace_leq(m1, m2) and subspace_leq(m2, m1)
+
+
+def independent_rows(M: BitMatrix, modulo: BitMatrix | None = None) -> BitMatrix:
+    """Greedy sweep keeping the original rows that are independent (mod an
+    optional subspace).  Row vectors are preserved, not reduced."""
+    ech = _Echelon(modulo)
+    keep = np.array([ech.add(word) for word in _row_words(M)], dtype=bool)
+    return BitMatrix(M.a[keep])
 
 
 def complement_basis(m_sub: BitMatrix, m_sup: BitMatrix) -> BitMatrix:
@@ -329,24 +345,7 @@ def complement_basis(m_sub: BitMatrix, m_sup: BitMatrix) -> BitMatrix:
     """
     if not subspace_leq(m_sub, m_sup):
         raise ContainmentError("complement_basis requires rowspace(m_sub) <= rowspace(m_sup)")
-    ech = _Echelon(m_sup.cols, seed_rows=m_sub)
-    kept: list[np.ndarray] = []
-    for row in m_sup:
-        if ech.add(vector_to_int(row)):
-            kept.append(np.array(row, dtype=np.uint8))
-    if not kept:
-        return BitMatrix.empty(m_sup.cols)
-    return BitMatrix(np.vstack(kept))
-
-
-def independent_rows(M: BitMatrix, modulo: BitMatrix | None = None) -> BitMatrix:
-    """Greedy sweep keeping the original rows that are independent (mod an
-    optional subspace).  Row vectors are preserved, not reduced."""
-    ech = _Echelon(M.cols, seed_rows=(modulo if modulo is not None else ()))
-    kept = [np.array(r, dtype=np.uint8) for r in M if ech.add(vector_to_int(r))]
-    if not kept:
-        return BitMatrix.empty(M.cols)
-    return BitMatrix(np.vstack(kept))
+    return independent_rows(m_sup, modulo=m_sub)
 
 
 def right_identity_transform(U: BitMatrix) -> BitMatrix:
@@ -359,8 +358,8 @@ def right_identity_transform(U: BitMatrix) -> BitMatrix:
         raise DimensionMismatchError(f"need a square matrix, got {U.rows}x{U.cols}")
     k = U.rows
     aug = np.hstack([U.a.copy(), np.eye(k, dtype=np.uint8)])
-    R, pivots, rk = rref(BitMatrix(aug))
-    if rk < k or any(p >= k for p in pivots[:k]) or list(pivots[:k]) != list(range(k)):
+    R, pivots, _ = rref(BitMatrix(aug))
+    if pivots[:k] != tuple(range(k)):
         raise SingularMatrixError(f"matrix of size {k} has GF(2) rank {rank(U)} < {k}")
     return BitMatrix(R.a[:k, k:].copy())
 

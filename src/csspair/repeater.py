@@ -360,9 +360,10 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
                   seed: int, jobs: int) -> np.ndarray:
     """Joint class counts from Monte Carlo sampling.
 
-    Each worker owns a child stream of the seed, so results are
-    reproducible for a fixed (seed, samples, jobs) triple regardless of
-    scheduling.
+    The samples are split over `jobs` seed streams, child streams of
+    the seed drawn one after another in this process.  The stream count
+    is part of what fixes the sample: results are reproducible for a
+    fixed (seed, samples, jobs) triple.
     """
     n = qa.n
     k = qa.k

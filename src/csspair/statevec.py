@@ -21,8 +21,6 @@ from .errors import CapacityError, DimensionMismatchError
 
 MAX_QUBITS = 28
 
-NORM_TOL = 1e-12
-
 
 @dataclass
 class PauliOp:
@@ -171,13 +169,6 @@ def fidelity(s1: StateVector, s2: StateVector) -> float:
     if s1.num_qubits != s2.num_qubits:
         raise DimensionMismatchError("states live on different qubit counts")
     return float(abs(np.vdot(s1.amp, s2.amp)) ** 2)
-
-
-def states_equal(s1: StateVector, s2: StateVector, tol: float = NORM_TOL) -> bool:
-    """Amplitude-wise equality including global phase."""
-    if s1.num_qubits != s2.num_qubits:
-        raise DimensionMismatchError("states live on different qubit counts")
-    return bool(np.max(np.abs(s1.amp - s2.amp)) <= tol)
 
 
 def max_amplitude_deviation(s1: StateVector, s2: StateVector) -> float:

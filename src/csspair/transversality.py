@@ -34,7 +34,13 @@ import numpy as np
 
 from . import gf2, statevec
 from .codes import CssCode, logical_kets, make_css_from_stabilizers, with_encoding
-from .errors import CapacityError, ContainmentError, DimensionMismatchError, SingularMatrixError
+from .errors import (
+    CapacityError,
+    ContainmentError,
+    DimensionMismatchError,
+    EncodingError,
+    SingularMatrixError,
+)
 from .gf2 import BitMatrix
 
 ORACLE_TOL = 1e-12
@@ -59,9 +65,6 @@ class TransversalityReport:
     mode: str | None = None
     details: dict = field(default_factory=dict)
     witness: Witness | None = None
-    oracle_checked: bool = False
-    oracle_ok: bool | None = None
-    oracle_max_deviation: float | None = None
 
     def to_dict(self) -> dict:
         out = {
@@ -77,11 +80,6 @@ class TransversalityReport:
             out["witness"] = {
                 "psi_a": "".join(map(str, self.witness[0])),
                 "psi_b": "".join(map(str, self.witness[1])),
-            }
-        if self.oracle_checked:
-            out["oracle"] = {
-                "ok": self.oracle_ok,
-                "max_amplitude_deviation": self.oracle_max_deviation,
             }
         return out
 
@@ -127,11 +125,7 @@ def check_cnot_transversal(qa: CssCode, qb: CssCode, mode: str = "coset") -> Tra
             enc_ok = qa.enc_a == qb.enc_a
             conditions["A_eq_B"] = enc_ok
         else:
-            enc_ok = all(
-                gf2.solve_row(qb.x_stab, (ra ^ rb)) is not None
-                or not np.any(ra ^ rb)
-                for ra, rb in zip(qa.enc_a.a, qb.enc_a.a)
-            )
+            enc_ok = gf2.subspace_leq(qa.enc_a + qb.enc_a, qb.x_stab)
             conditions["A_plus_B_in_C4perp"] = enc_ok
     verdict = k_match and containment and enc_ok
     if k_match and not verdict:
@@ -152,7 +146,7 @@ def _cnot_witness(qa: CssCode, qb: CssCode, containment: bool) -> Witness | None
     diff = qa.enc_a.a ^ qb.enc_a.a
     for psi_a in product((0, 1), repeat=k):
         shift = (np.array(psi_a, dtype=np.uint8) @ diff) % 2 if k else np.zeros(qa.n, dtype=np.uint8)
-        if np.any(shift) and gf2.solve_row(qb.x_stab, shift) is None:
+        if not gf2.subspace_leq(BitMatrix(shift), qb.x_stab):
             return (psi_a, zeros)
     return None  # strict-mode refusal without a physical failure
 
@@ -429,20 +423,13 @@ def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:
     k = qa.k
     if k == 0:
         return BitMatrix.empty(qa.n)
-    # Fast path: the control code's encoding may already work for both.
-    if _valid_common_encoding(qa.enc_a, qa, qb):
+    # Fast path: the control code's encoding, if it is also a valid encoding of qb.
+    try:
+        with_encoding(qb, qa.enc_a)
+    except EncodingError:
+        pass
+    else:
         return qa.enc_a
     shared = gf2.rowspace_intersection(qa.c1.gen, qb.c1.gen)
-    ech = gf2._Echelon(qa.n, seed_rows=qb.x_stab)
-    kept = [np.array(row, dtype=np.uint8) for row in shared
-            if ech.add(gf2.vector_to_int(row))]
-    if len(kept) != k:
-        return None
-    return BitMatrix(np.vstack(kept))
-
-
-def _valid_common_encoding(enc: BitMatrix, qa: CssCode, qb: CssCode) -> bool:
-    rows_in_c3 = all(gf2.solve_row(qb.c1.gen, row) is not None for row in enc)
-    if not rows_in_c3:
-        return False
-    return gf2.rank(BitMatrix.stack(qb.x_stab, enc)) == qb.x_stab.rows + enc.rows
+    kept = gf2.independent_rows(shared, modulo=qb.x_stab)
+    return kept if kept.rows == k else None

@@ -18,8 +18,9 @@ from csspair import (
     min_distance,
     parse_css_text,
     stabilizer_generators,
+    with_encoding,
 )
-from csspair import gf2
+from csspair import gf2, sampling
 from csspair.codes import css_to_text, logical_kets
 from csspair.errors import CapacityError, ContainmentError, EncodingError, ParseError
 
@@ -212,3 +213,46 @@ def test_css_file_round_trip(steane):
 def test_css_file_errors(text, msg):
     with pytest.raises(ParseError, match=msg):
         parse_css_text(text)
+
+
+def _rebased(rng, m):
+    """Same row space as the full-rank m, different rows: a random invertible mix."""
+    while True:
+        w = BitMatrix(rng.integers(0, 2, size=(m.rows, m.rows), dtype=np.uint8))
+        if gf2.rank(w) == m.rows:
+            return w @ m
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_constructors_agree_with_make_css(seed):
+    rng = np.random.default_rng(700 + seed)
+    q = sampling.random_css_code(rng, int(rng.integers(4, 9)))
+    xs = _rebased(rng, q.x_stab)
+    zs = _rebased(rng, q.z_stab)
+    built = make_css_from_stabilizers(xs, zs)
+    ref = make_css(built.c1, built.c2)
+    assert built.x_stab == xs and built.z_stab == zs  # supplied rows kept verbatim
+    assert gf2.spans_equal(built.c1.gen, q.c1.gen) and gf2.spans_equal(built.c2.gen, q.c2.gen)
+    assert gf2.spans_equal(built.x_stab, ref.x_stab) and gf2.spans_equal(built.z_stab, ref.z_stab)
+    assert built.enc_a == ref.enc_a
+    enc = sampling.scramble_encoding(rng, ref).enc_a
+    assert make_css_from_stabilizers(xs, zs, enc_a=enc).enc_a == enc
+    moved = with_encoding(built, enc)
+    assert moved.enc_a == make_css(built.c1, built.c2, enc_a=enc).enc_a == enc
+    assert moved.x_stab == xs and moved.z_stab == zs
+    assert moved.c1 is built.c1 and moved.c2 is built.c2
+
+
+@pytest.mark.parametrize("build", [
+    lambda q, enc: make_css(q.c1, q.c2, enc_a=enc),
+    lambda q, enc: with_encoding(q, enc),
+    lambda q, enc: make_css_from_stabilizers(q.x_stab, q.z_stab, enc_a=enc),
+], ids=["make_css", "with_encoding", "make_css_from_stabilizers"])
+@pytest.mark.parametrize("rows,msg", [
+    (["0011011"], "encoding has 1 rows, logical dimension is 2"),
+    (["1000000", "0011011"], "encoding row 1 is not a C1 codeword"),
+    (["0011011", "1111011"], "encoding rows are dependent modulo dual"),
+])
+def test_every_constructor_rejects_invalid_encodings(build, rows, msg):
+    with pytest.raises(EncodingError, match=msg):
+        build(build_pair7_a(), BitMatrix.from_strings(rows))

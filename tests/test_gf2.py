@@ -223,3 +223,80 @@ def test_bitmatrix_is_immutable():
     m = BitMatrix([[1, 0]])
     with pytest.raises(ValueError):
         m.a[0, 0] = 0
+
+
+# -- span primitives against brute-force span enumeration ------------------------
+
+
+def span_of(m):
+    """Every vector of the row space, as ints, by enumerating all row combinations."""
+    words = [int("".join(str(int(b)) for b in row), 2) for row in m.a]
+    span = {0}
+    for w in words:
+        span |= {s ^ w for s in span}
+    return span
+
+
+def greedy_rows(m, modulo):
+    """Rows of m kept in order when each must leave the span of modulo + kept rows."""
+    kept = []
+    for row in m.a:
+        acc = BitMatrix(np.vstack([modulo.a] + kept)) if kept else modulo
+        if int("".join(map(str, row)), 2) not in span_of(acc):
+            kept.append(row.reshape(1, -1))
+    return BitMatrix(np.vstack(kept)) if kept else BitMatrix.empty(m.cols)
+
+
+def random_span_operand(rng, cols):
+    """0-5 random rows, sometimes with a dependent row and an all-zero row."""
+    rows = [rng.integers(0, 2, size=cols, dtype=np.uint8) for _ in range(rng.integers(0, 6))]
+    if len(rows) >= 2 and rng.random() < 0.5:
+        i, j = rng.choice(len(rows), size=2, replace=False)
+        rows.insert(int(rng.integers(0, len(rows) + 1)), rows[i] ^ rows[j])
+    if rows and rng.random() < 0.3:
+        rows.insert(int(rng.integers(0, len(rows) + 1)), np.zeros(cols, dtype=np.uint8))
+    return BitMatrix(np.array(rows, dtype=np.uint8)) if rows else BitMatrix.empty(cols)
+
+
+def span_operand_pairs(seed):
+    """(sub, sup) pairs on n <= 8 columns; half have sub built inside sup."""
+    rng = np.random.default_rng(500 + seed)
+    cols = int(rng.integers(1, 9))
+    sup = random_span_operand(rng, cols)
+    sub = random_span_operand(rng, cols)
+    if sup.rows and rng.random() < 0.5:
+        coeffs = rng.integers(0, 2, size=(int(rng.integers(0, 5)), sup.rows), dtype=np.uint8)
+        sub = BitMatrix(coeffs, cols=sup.rows) @ sup if coeffs.size else BitMatrix.empty(cols)
+    return sub, sup
+
+
+@pytest.mark.parametrize("seed", range(60))
+def test_span_primitives_match_brute_force(seed):
+    sub, sup = span_operand_pairs(seed)
+    s_sub, s_sup = span_of(sub), span_of(sup)
+    for m, s in ((sub, s_sub), (sup, s_sup)):
+        assert 2 ** gf2.rank(m) == len(s)
+    assert gf2.subspace_leq(sub, sup) == (s_sub <= s_sup)
+    assert gf2.subspace_leq(sup, sub) == (s_sup <= s_sub)
+    assert gf2.spans_equal(sub, sup) == (s_sub == s_sup)
+    for m, mod in ((sup, sub), (sub, sup), (sup, BitMatrix.empty(sup.cols))):
+        assert gf2.independent_rows(m, modulo=mod) == greedy_rows(m, mod)
+    assert gf2.independent_rows(sup) == greedy_rows(sup, BitMatrix.empty(sup.cols))
+    if s_sub <= s_sup:
+        comp = gf2.complement_basis(sub, sup)
+        assert comp == greedy_rows(sup, sub)
+        assert span_of(BitMatrix(np.vstack([sub.a, comp.a]), cols=sup.cols)) == s_sup
+        assert comp.rows == gf2.rank(sup) - gf2.rank(sub)
+    else:
+        with pytest.raises(ContainmentError):
+            gf2.complement_basis(sub, sup)
+
+
+def test_span_operands_cover_edge_cases():
+    pairs = [span_operand_pairs(seed) for seed in range(60)]
+    operands = [m for pair in pairs for m in pair]
+    assert any(m.rows == 0 for m in operands)
+    assert any(m.rows and not np.all(m.a.any(axis=1)) for m in operands)
+    assert any(gf2.rank(m) < m.rows for m in operands)
+    assert any(gf2.subspace_leq(sub, sup) and sub.rows for sub, sup in pairs)
+    assert any(not gf2.subspace_leq(sub, sup) for sub, sup in pairs)

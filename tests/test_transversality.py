@@ -266,3 +266,35 @@ def test_report_serialization_shape(pair7_a, pair7_b):
     assert d["gate"] == "CNOT" and d["verdict"] is True
     assert set(d["conditions"]) == {"k_match", "C2perp_in_C4perp", "A_plus_B_in_C4perp"}
     assert d["witness"] is None
+
+
+def _degenerate_cnot_pairs():
+    """Pairs where A + B in dual(C4) reduces to A == B: k = 0, or no X checks on B."""
+    self_dual = make_classical(BitMatrix.from_strings(["1100", "0011"]))
+    other_dual = make_classical(BitMatrix.from_strings(["1010", "0101"]))
+    k0 = make_css(self_dual, self_dual.dual())
+    k0_other = make_css(other_dual, other_dual.dual())
+    no_x = make_css(make_classical(BitMatrix.from_strings(["110", "011"])),
+                    make_classical(BitMatrix.identity(3)))
+    no_x_swapped = with_encoding(no_x, BitMatrix(no_x.enc_a.a[::-1].copy()))
+    one_x = make_css(make_classical(BitMatrix.identity(3)),
+                     ClassicalCode(dual_basis(BitMatrix([[1, 1, 0]]))))
+    return {
+        "k0_same": (k0, k0),
+        "k0_not_contained": (k0, k0_other),
+        "no_x_same": (no_x, no_x),
+        "no_x_other_encoding": (no_x_swapped, no_x),
+        "x_checks_into_no_x": (one_x, no_x),
+    }
+
+
+@pytest.mark.parametrize("case", sorted(_degenerate_cnot_pairs()))
+def test_cnot_checker_matches_oracle_on_degenerate_pairs(case):
+    qa, qb = _degenerate_cnot_pairs()[case]
+    assert (qa.k == 0) or (qb.x_stab.rows == 0)
+    res = oracle_cnot(qa, qb)
+    for mode in ("coset", "strict"):
+        rep = check_cnot_transversal(qa, qb, mode=mode)
+        assert rep.verdict == res.ok, (case, mode, rep.conditions)
+        assert rep.witness == res.witness, (case, mode)
+    assert res.ok == case.endswith("same")
