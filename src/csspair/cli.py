@@ -60,6 +60,14 @@ def _code_summary(q: codes.CssCode) -> dict:
     }
 
 
+def _oracle_block(res: transversality.OracleResult, detail: bool = False) -> dict:
+    block = {"ok": res.ok, "max_amplitude_deviation": res.max_deviation}
+    if detail:
+        block["pairs_checked"] = res.pairs_checked
+        block["witness"] = transversality._witness_dict(res.witness)
+    return block
+
+
 def _load_pair(path_a: str, path_b: str) -> tuple[codes.CssCode, codes.CssCode]:
     return codes.load_css(path_a, name=path_a), codes.load_css(path_b, name=path_b)
 
@@ -68,24 +76,16 @@ def _run_check(args, gate: str) -> int:
     qa, qb = _load_pair(args.code_a, args.code_b)
     if gate == "cnot":
         rep = transversality.check_cnot_transversal(qa, qb, mode=args.mode)
-        oracle = transversality.oracle_cnot if args.oracle else None
+        oracle = transversality.oracle_cnot
     else:
         rep = transversality.check_cz_transversal(qa, qb)
-        oracle = transversality.oracle_cz if args.oracle else None
+        oracle = transversality.oracle_cz
     payload = rep.to_dict()
     if gate == "cz" and getattr(args, "sufficient", False):
         payload["sufficient"] = transversality.check_cz_sufficient(qa, qb).to_dict()
-    if oracle is not None and qa.k == qb.k:
+    if args.oracle and qa.k == qb.k:
         res = oracle(qa, qb)
-        payload["oracle"] = {
-            "ok": res.ok,
-            "max_amplitude_deviation": res.max_deviation,
-            "pairs_checked": res.pairs_checked,
-            "witness": None if res.witness is None else {
-                "psi_a": "".join(map(str, res.witness[0])),
-                "psi_b": "".join(map(str, res.witness[1])),
-            },
-        }
+        payload["oracle"] = _oracle_block(res, detail=True)
         payload["checker_oracle_agree"] = res.ok == rep.verdict
         if res.ok != rep.verdict:
             payload["warning"] = "checker and oracle disagree; please report this input"
@@ -107,7 +107,7 @@ def _cmd_verify(args) -> int:
         entry = rep.to_dict()
         if qa.k == qb.k:
             res = oracle(qa, qb)
-            entry["oracle"] = {"ok": res.ok, "max_amplitude_deviation": res.max_deviation}
+            entry["oracle"] = _oracle_block(res)
             entry["checker_oracle_agree"] = res.ok == rep.verdict
             agree = agree and (res.ok == rep.verdict)
         payload[gate] = entry
@@ -217,7 +217,7 @@ def _cmd_find_encoding(args) -> int:
         qa2 = codes.with_encoding(qa, enc)
         qb2 = codes.with_encoding(qb, enc)
         res = transversality.oracle_cnot(qa2, qb2)
-        payload["oracle"] = {"ok": res.ok, "max_amplitude_deviation": res.max_deviation}
+        payload["oracle"] = _oracle_block(res)
     _emit(payload, args.pretty, args.out)
     return 0
 

@@ -246,16 +246,16 @@ def logical_z_representatives(q: CssCode) -> BitMatrix:
     if k == 0:
         return BitMatrix.empty(q.n)
     c2_basis = q.c2.gen
+    k2 = c2_basis.rows
+    # Solve coeffs @ pairing = I_k for all k targets in one elimination of
+    # [pairing^T | I_k], free coordinates set to zero.
     pairing = c2_basis @ q.enc_a.T  # k2 x k
-    rows = []
-    for i in range(k):
-        target = np.zeros(k, dtype=np.uint8)
-        target[i] = 1
-        coeffs = gf2.solve_row(pairing, target)
-        if coeffs is None:
-            raise EncodingError("logical pairing is degenerate; encoding matrix is invalid")
-        rows.append((coeffs @ c2_basis.a) % 2)
-    return BitMatrix(np.array(rows, dtype=np.uint8))
+    R, pivots, _ = gf2.rref(BitMatrix(np.hstack([pairing.a.T, np.eye(k, dtype=np.uint8)])))
+    if pivots[-1] >= k2:
+        raise EncodingError("logical pairing is degenerate; encoding matrix is invalid")
+    coeffs = np.zeros((k, k2), dtype=np.uint8)
+    coeffs[:, list(pivots)] = R.a[:, k2:].T
+    return BitMatrix((coeffs @ c2_basis.a) % 2)
 
 
 def css_distance(q: CssCode) -> int:

@@ -4,6 +4,9 @@ The CLI maps these onto exit codes: bad input (parsing, dimension or
 containment violations) exits 2, capacity overruns exit 3.
 """
 
+# Memory budget of exact link fidelity and the state-vector oracles (CapacityError beyond).
+MAX_EXACT_BYTES = 2**31
+
 
 class CsspairError(Exception):
     """Base class for all package-specific errors."""

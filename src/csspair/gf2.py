@@ -9,11 +9,12 @@ lengths (n up to a few tens); everything is exact, nothing is sparse.
 Vectors are 1-indexed in documentation and error messages (qubit 1 is
 the leftmost column); storage is 0-indexed.
 
-Span questions (rank, containment, independence modulo a subspace,
-complements) are all answered by one incremental echelon basis over
-int bitmasks.  Full reduced row-echelon form is computed only where the
-reduced matrix itself is the answer: `rref`, `dual_basis`, `solve_row`
-and `right_identity_transform`.
+All elimination runs on one incremental echelon basis over int
+bitmasks.  Span questions (rank, containment, independence modulo a
+subspace, complements) read it directly; `rref` back-substitutes it
+into reduced form for the callers that need the reduced matrix:
+`dual_basis`, `solve_row`, `right_identity_transform` and
+`codes.logical_z_representatives`.
 """
 
 from __future__ import annotations
@@ -221,62 +222,18 @@ def int_to_vector(value: int, n: int) -> np.ndarray:
 # -- elimination core -----------------------------------------------------------
 
 
-def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
-    """Reduced row-echelon form over GF(2).
-
-    Returns (R, pivot_cols, rank).  R has the same shape as M with zero
-    rows at the bottom; pivot columns are 0-indexed.
-    """
-    R = M.a.copy()
-    m, n = R.shape
-    pivots: list[int] = []
-    pr = 0
-    for col in range(n):
-        if pr >= m:
-            break
-        hit = np.nonzero(R[pr:, col])[0]
-        if hit.size == 0:
-            continue
-        src = pr + int(hit[0])
-        if src != pr:
-            R[[pr, src]] = R[[src, pr]]
-        # Clear the column everywhere else (reduced form).
-        others = np.nonzero(R[:, col])[0]
-        for r in others:
-            if r != pr:
-                R[r] ^= R[pr]
-        pivots.append(col)
-        pr += 1
-    return BitMatrix(R), tuple(pivots), len(pivots)
-
-
-def dual_basis(M: BitMatrix) -> BitMatrix:
-    """Basis of the null space {v : M v^T = 0}, i.e. the dual code's generator.
-
-    Returns cols - rank(M) independent rows; applying dual_basis twice
-    recovers a basis of the original row space.
-    """
-    R, pivots, rk = rref(M)
-    n = M.cols
-    free = [c for c in range(n) if c not in pivots]
-    if not free:
-        return BitMatrix.empty(n)
-    out = np.zeros((len(free), n), dtype=np.uint8)
-    for idx, f in enumerate(free):
-        out[idx, f] = 1
-        for prow, pcol in enumerate(pivots):
-            out[idx, pcol] = R.a[prow, f]
-    return BitMatrix(out)
-
-
-# -- span questions --------------------------------------------------------------
-
-
 def _row_words(M: BitMatrix) -> list[int]:
     """Rows of M as int bitmasks, column 1 most significant."""
     packed = np.packbits(M.a, axis=1)
     pad = 8 * packed.shape[1] - M.cols
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
+
+
+def _word_rows(words: list[int], cols: int) -> np.ndarray:
+    """Inverse of _row_words: int bitmasks back to a len(words) x cols array."""
+    nbytes = (cols + 7) // 8
+    buf = b"".join((word << (8 * nbytes - cols)).to_bytes(nbytes, "big") for word in words)
+    return np.unpackbits(np.frombuffer(buf, np.uint8).reshape(-1, nbytes), axis=1)[:, :cols]
 
 
 class _Echelon:
@@ -304,6 +261,44 @@ class _Echelon:
             return False
         self.by_pivot[red.bit_length() - 1] = red
         return True
+
+
+def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
+    """Reduced row-echelon form over GF(2).
+
+    Returns (R, pivot_cols, rank).  R has the same shape as M with zero
+    rows at the bottom; pivot columns are 0-indexed.  Back-substitutes
+    the echelon basis of M's rows, rightmost pivot first.
+    """
+    ech = _Echelon(M)
+    reduced: dict[int, int] = {}
+    for piv in sorted(ech.by_pivot):
+        word = ech.by_pivot[piv]
+        for lower, row in reduced.items():
+            if word >> lower & 1:
+                word ^= row
+        reduced[piv] = word
+    order = sorted(reduced, reverse=True)
+    R = np.zeros_like(M.a)
+    R[:len(order)] = _word_rows([reduced[piv] for piv in order], M.cols)
+    return BitMatrix(R), tuple(M.cols - 1 - piv for piv in order), len(order)
+
+
+def dual_basis(M: BitMatrix) -> BitMatrix:
+    """Basis of the null space {v : M v^T = 0}, i.e. the dual code's generator.
+
+    Returns cols - rank(M) independent rows; applying dual_basis twice
+    recovers a basis of the original row space.
+    """
+    R, pivots, rk = rref(M)
+    free = [c for c in range(M.cols) if c not in pivots]
+    out = np.zeros((len(free), M.cols), dtype=np.uint8)
+    out[np.arange(len(free)), free] = 1
+    out[:, list(pivots)] = R.a[:rk, free].T
+    return BitMatrix(out)
+
+
+# -- span questions --------------------------------------------------------------
 
 
 def rank(M: BitMatrix) -> int:
@@ -357,8 +352,7 @@ def right_identity_transform(U: BitMatrix) -> BitMatrix:
     if U.rows != U.cols:
         raise DimensionMismatchError(f"need a square matrix, got {U.rows}x{U.cols}")
     k = U.rows
-    aug = np.hstack([U.a.copy(), np.eye(k, dtype=np.uint8)])
-    R, pivots, _ = rref(BitMatrix(aug))
+    R, pivots, _ = rref(BitMatrix(np.hstack([U.a, np.eye(k, dtype=np.uint8)])))
     if pivots[:k] != tuple(range(k)):
         raise SingularMatrixError(f"matrix of size {k} has GF(2) rank {rank(U)} < {k}")
     return BitMatrix(R.a[:k, k:].copy())
@@ -374,13 +368,11 @@ def solve_row(M: BitMatrix, target) -> np.ndarray | None:
     if t.size != M.cols:
         raise DimensionMismatchError("target length must equal the column count")
     # Solve M^T x = t^T by eliminating on the augmented system.
-    aug = np.hstack([M.a.T.copy(), t.reshape(-1, 1)])
-    R, pivots, _ = rref(BitMatrix(aug))
+    R, pivots, rk = rref(BitMatrix(np.hstack([M.a.T, t.reshape(-1, 1)])))
+    if rk and pivots[-1] == M.rows:  # pivot in the augmented column: inconsistent
+        return None
     coeffs = np.zeros(M.rows, dtype=np.uint8)
-    for prow, pcol in enumerate(pivots):
-        if pcol == M.rows:  # pivot in the augmented column: inconsistent
-            return None
-        coeffs[pcol] = R.a[prow, M.rows]
+    coeffs[list(pivots)] = R.a[:rk, M.rows]
     return coeffs
 
 

@@ -33,7 +33,7 @@ import numpy as np
 
 from . import gf2
 from .codes import CssCode, load_css, logical_z_representatives
-from .errors import CapacityError, NonTransversalError, ParseError
+from .errors import MAX_EXACT_BYTES, CapacityError, NonTransversalError, ParseError
 from .gf2 import BitMatrix
 from .transversality import check_cnot_transversal
 
@@ -41,7 +41,6 @@ MAX_EXACT_PATTERNS = 2**26
 MAX_TABLE_LENGTH = 15
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-MAX_EXACT_BYTES = 2**31
 # Monte Carlo draws each seed stream in blocks of this many rows.
 MC_CHUNK_ROWS = 1 << 16
 

@@ -21,7 +21,9 @@ implies vanishing everywhere.
 
 Every verdict produced here can be re-derived by brute force with
 `oracle_cnot` / `oracle_cz`, which compare encode-then-gate against
-gate-then-encode amplitude-wise on all logical basis pairs.
+gate-then-encode amplitude-wise on all logical basis pairs, in the
+order the checkers pick witnesses; pairs whose dense 2^(2n) arrays
+exceed MAX_EXACT_BYTES (n > 12) raise CapacityError.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ from typing import NamedTuple
 import numpy as np
 
 from . import gf2, statevec
-from .codes import CssCode, logical_kets, make_css_from_stabilizers, with_encoding
+from .codes import CssCode, make_css_from_stabilizers, with_encoding
 from .errors import (
+    MAX_EXACT_BYTES,
     CapacityError,
     ContainmentError,
     DimensionMismatchError,
@@ -44,6 +47,8 @@ from .errors import (
 from .gf2 import BitMatrix
 
 ORACLE_TOL = 1e-12
+# Traced peak of one oracle call: 104 (CNOT) and 113 (CZ) bytes per joint amplitude at n = 8-10.
+_ORACLE_BYTES_PER_AMPLITUDE = 120
 
 Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -72,16 +77,18 @@ class TransversalityReport:
             "verdict": self.verdict,
             "conditions": dict(self.conditions),
             "details": dict(self.details),
-            "witness": None,
+            "witness": _witness_dict(self.witness),
         }
         if self.mode is not None:
             out["mode"] = self.mode
-        if self.witness is not None:
-            out["witness"] = {
-                "psi_a": "".join(map(str, self.witness[0])),
-                "psi_b": "".join(map(str, self.witness[1])),
-            }
         return out
+
+
+def _witness_dict(witness: Witness | None) -> dict | None:
+    """JSON form of a witness: each logical vector as a bitstring."""
+    if witness is None:
+        return None
+    return {"psi_a": "".join(map(str, witness[0])), "psi_b": "".join(map(str, witness[1]))}
 
 
 class OracleResult(NamedTuple):
@@ -328,82 +335,77 @@ def _oracle_precheck(qa: CssCode, qb: CssCode) -> None:
     _require_same_length(qa, qb)
     if qa.k != qb.k:
         raise ValueError(f"oracle needs equal logical dimensions, got {qa.k} vs {qb.k}")
-    if 2 * qa.n > statevec.MAX_QUBITS:
-        raise CapacityError(f"joint register 2n = {2 * qa.n} exceeds {statevec.MAX_QUBITS} qubits")
+    need = _ORACLE_BYTES_PER_AMPLITUDE << (2 * qa.n)
+    if need > MAX_EXACT_BYTES:
+        raise CapacityError(f"the oracle needs {need} bytes for 2^{2 * qa.n} joint amplitudes; "
+                            f"the limit is {MAX_EXACT_BYTES}")
 
 
-def _encodings(q: CssCode) -> dict[tuple[int, ...], statevec.StateVector]:
-    return {tuple(int(b) for b in psi): statevec.encode_logical(q, psi)
-            for psi in logical_kets(q.k)}
+def _oracle(qa: CssCode, qb: CssCode, tol: float, cz: bool) -> OracleResult:
+    """Both oracles' loop.  With kets in `logical_kets` order, psi_a + psi_b
+    is index i ^ j and psi_a . psi_b is the parity of i & j."""
+    _oracle_precheck(qa, qb)
+    n = qa.n
+    psis = list(product((0, 1), repeat=qa.k))
+    kets_a = [statevec.encode_logical(qa, psi) for psi in psis]
+    kets_b = [statevec.encode_logical(qb, psi) for psi in psis]
+    gate = statevec.apply_transversal_cz if cz else statevec.apply_transversal_cnot
+    worst = 0.0
+    pairs = 0
+    for i, ket_a in enumerate(kets_a):
+        for j, ket_b in enumerate(kets_b):
+            pairs += 1
+            joint = statevec.tensor(ket_a, ket_b)
+            gated = gate(joint, n)
+            if cz:
+                sign = (-1.0) ** (i & j).bit_count()
+                expected = statevec.StateVector(2 * n, sign * joint.amp, check=False)
+            else:
+                expected = statevec.tensor(ket_a, kets_b[i ^ j])
+            dev = statevec.max_amplitude_deviation(gated, expected)
+            worst = max(worst, dev)
+            if dev > tol:
+                return OracleResult(False, (psis[i], psis[j]), dev, pairs)
+    if cz:
+        # Superposition input: all logical kets at once on both sides.
+        pairs += 1
+        scale = 1.0 / np.sqrt(len(psis))
+        plus_a = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_a], axis=0), check=False)
+        plus_b = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_b], axis=0), check=False)
+        gated = statevec.apply_transversal_cz(statevec.tensor(plus_a, plus_b), n)
+        expected_amp = np.zeros_like(gated.amp)
+        for i, ket_a in enumerate(kets_a):
+            for j, ket_b in enumerate(kets_b):
+                expected_amp += (-1.0) ** (i & j).bit_count() * statevec.tensor(ket_a, ket_b).amp
+        expected_amp /= len(psis)
+        expected = statevec.StateVector(2 * n, expected_amp, check=False)
+        dev = statevec.max_amplitude_deviation(gated, expected)
+        worst = max(worst, dev)
+        if dev > tol:
+            return OracleResult(False, None, dev, pairs)
+    return OracleResult(True, None, worst, pairs)
 
 
 def oracle_cnot(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResult:
     """Exhaustive state-vector certification of pairwise-CNOT transversality.
 
-    For every logical basis pair (psi_a, psi_b), compares gating the
-    encoded states against encoding the gated logicals
-    |psi_a> (x) |psi_a + psi_b|, amplitude-wise.
+    For every logical basis pair (psi_a, psi_b), in lexicographic order,
+    compares gating the encoded states against encoding the gated
+    logicals |psi_a> (x) |psi_a + psi_b>, amplitude-wise; the first
+    pair off by more than tol is the witness.
     """
-    _oracle_precheck(qa, qb)
-    k, n = qa.k, qa.n
-    enc_a, enc_b = _encodings(qa), _encodings(qb)
-    worst = 0.0
-    pairs = 0
-    for psi_a in product((0, 1), repeat=k):
-        for psi_b in product((0, 1), repeat=k):
-            pairs += 1
-            joint = statevec.tensor(enc_a[psi_a], enc_b[psi_b])
-            gated = statevec.apply_transversal_cnot(joint, n)
-            summed = tuple(a ^ b for a, b in zip(psi_a, psi_b))
-            expected = statevec.tensor(enc_a[psi_a], enc_b[summed])
-            dev = statevec.max_amplitude_deviation(gated, expected)
-            worst = max(worst, dev)
-            if dev > tol:
-                return OracleResult(False, (psi_a, psi_b), dev, pairs)
-    return OracleResult(True, None, worst, pairs)
+    return _oracle(qa, qb, tol, cz=False)
 
 
 def oracle_cz(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResult:
     """Exhaustive state-vector certification of pairwise-CZ transversality.
 
-    Basis pairs are compared with the exact sign (-1)^(psi_a . psi_b);
-    a final uniform-superposition input is checked as well, where a
-    phase error that is constant on basis states would also surface.
+    Basis pairs are compared in the same order with the exact sign
+    (-1)^(psi_a . psi_b); if all pass, a uniform-superposition input is
+    checked as one more pair, where a phase error that is constant on
+    basis states would also surface.
     """
-    _oracle_precheck(qa, qb)
-    k, n = qa.k, qa.n
-    enc_a, enc_b = _encodings(qa), _encodings(qb)
-    worst = 0.0
-    pairs = 0
-    for psi_a in product((0, 1), repeat=k):
-        for psi_b in product((0, 1), repeat=k):
-            pairs += 1
-            joint = statevec.tensor(enc_a[psi_a], enc_b[psi_b])
-            gated = statevec.apply_transversal_cz(joint, n)
-            sign = (-1.0) ** (sum(a * b for a, b in zip(psi_a, psi_b)) % 2)
-            expected = statevec.StateVector(2 * n, sign * joint.amp, check=False)
-            dev = statevec.max_amplitude_deviation(gated, expected)
-            worst = max(worst, dev)
-            if dev > tol:
-                return OracleResult(False, (psi_a, psi_b), dev, pairs)
-    # Superposition input: all logical kets at once on both sides.
-    scale = 1.0 / np.sqrt(2.0**k)
-    plus_a = statevec.StateVector(
-        n, scale * np.sum([s.amp for s in enc_a.values()], axis=0), check=False)
-    plus_b = statevec.StateVector(
-        n, scale * np.sum([s.amp for s in enc_b.values()], axis=0), check=False)
-    gated = statevec.apply_transversal_cz(statevec.tensor(plus_a, plus_b), n)
-    expected_amp = np.zeros_like(gated.amp)
-    for psi_a, sa in enc_a.items():
-        for psi_b, sb in enc_b.items():
-            sign = (-1.0) ** (sum(a * b for a, b in zip(psi_a, psi_b)) % 2)
-            expected_amp += sign * np.kron(sa.amp, sb.amp)
-    expected_amp /= 2.0**k
-    dev = float(np.max(np.abs(gated.amp - expected_amp)))
-    worst = max(worst, dev)
-    if dev > tol:
-        return OracleResult(False, None, dev, pairs + 1)
-    return OracleResult(True, None, worst, pairs + 1)
+    return _oracle(qa, qb, tol, cz=True)
 
 
 def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:

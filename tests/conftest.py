@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from pathlib import Path
 
 import pytest
@@ -16,6 +17,11 @@ from csspair import (
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
+# Child processes (`python -m csspair`) do not see pytest's `pythonpath`;
+# hand them the source tree through the environment instead.
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, [_SRC, os.environ.get("PYTHONPATH")]))
 
 HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 PAIR7_X_CHECKS = ["1100000", "0101111"]

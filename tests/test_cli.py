@@ -9,7 +9,7 @@ import pytest
 
 from csspair import BitMatrix, load_css, repeater, save_css
 from csspair.cli import main
-from csspair.sampling import scramble_encoding
+from csspair.sampling import random_cnot_pair, scramble_encoding
 
 import numpy as np
 
@@ -102,6 +102,18 @@ def test_capacity_error_exits_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, "distance", str(big))
     assert code == 3
     assert "capacity" in err
+
+
+def test_oracle_capacity_exits_3(capsys, tmp_path):
+    qa, qb = random_cnot_pair(np.random.default_rng(13), 13)
+    save_css(qa, tmp_path / "a.code")
+    save_css(qb, tmp_path / "b.code")
+    for argv in (["check-cnot", "--oracle"], ["check-cz", "--oracle"], ["verify"]):
+        code, out, err = run_cli(capsys, argv[0], str(tmp_path / "a.code"),
+                                 str(tmp_path / "b.code"), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err.startswith("capacity error: the oracle needs")
 
 
 def test_distance_classical(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from csspair import (
     BitMatrix,
     ClassicalCode,
+    CssCode,
     css_distance,
     dual_basis,
     logical_x_representatives,
@@ -175,6 +176,27 @@ def test_logical_z_representatives_pairing(steane):
         assert (lz @ q.enc_a.T) == BitMatrix.identity(q.k)
         if q.x_stab.rows:
             assert (lz @ q.x_stab.T).is_zero()
+
+
+@pytest.mark.parametrize("seed", range(20))
+def test_logical_z_representatives_match_per_target_solves(seed):
+    """One elimination for all k targets gives the rows of k separate solves."""
+    rng = np.random.default_rng(700 + seed)
+    for q in sampling.random_valid_pair(rng, int(rng.integers(4, 12))):
+        pairing = q.c2.gen @ q.enc_a.T
+        want = [(gf2.solve_row(pairing, target) @ q.c2.gen.a) % 2
+                for target in np.eye(q.k, dtype=np.uint8)]
+        lz = logical_z_representatives(q)
+        assert lz == BitMatrix(np.array(want, dtype=np.uint8), cols=q.n)
+        assert (lz @ q.enc_a.T) == BitMatrix.identity(q.k)
+
+
+def test_logical_z_representatives_reject_degenerate_pairing():
+    # Bypass the constructors' validation: the first representative row twice.
+    q = build_pair7_a()
+    bad = CssCode(q.c1, q.c2, BitMatrix(np.vstack([q.enc_a.a[:1]] * 2)), q.x_stab, q.z_stab)
+    with pytest.raises(EncodingError, match="degenerate"):
+        logical_z_representatives(bad)
 
 
 def test_make_css_from_stabilizers_keeps_checks():

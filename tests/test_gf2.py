@@ -53,6 +53,38 @@ def test_rref_preserves_row_space(seed):
     assert gf2.subspace_leq(m, r) and gf2.subspace_leq(r, m)
 
 
+def textbook_rref(m):
+    """Gauss-Jordan elimination with row swaps, column by column, for cross-checking."""
+    r = m.a.copy()
+    pivots = []
+    for col in range(r.shape[1]):
+        top = len(pivots)
+        hits = [i for i in range(top, r.shape[0]) if r[i, col]]
+        if not hits:
+            continue
+        r[[top, hits[0]]] = r[[hits[0], top]]
+        for i in range(r.shape[0]):
+            if i != top and r[i, col]:
+                r[i] ^= r[top]
+        pivots.append(col)
+    return r, tuple(pivots)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_rref_matches_textbook_elimination(seed):
+    rng = np.random.default_rng(900 + seed)
+    for _ in range(10):
+        rows, cols = int(rng.integers(0, 13)), int(rng.integers(1, 26))
+        a = (rng.random((rows, cols)) < rng.random()).astype(np.uint8)
+        if rows >= 3:
+            a[rng.integers(rows)] = a[0] ^ a[1]  # a dependent row
+        m = BitMatrix(a, cols=cols)
+        r, pivots, rk = gf2.rref(m)
+        want, want_pivots = textbook_rref(m)
+        assert np.array_equal(r.a, want)
+        assert pivots == want_pivots and rk == len(want_pivots)
+
+
 def test_dual_basis_self_orthogonal_vector():
     d = gf2.dual_basis(BitMatrix([[1, 1]]))
     assert d == BitMatrix([[1, 1]])

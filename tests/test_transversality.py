@@ -1,5 +1,7 @@
 """Transversality deciders vs. the state-vector oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from csspair import (
     repair_mirrored_encodings,
     with_encoding,
 )
-from csspair import gf2, sampling
+from csspair import gf2, sampling, transversality
 from csspair.errors import CapacityError, ContainmentError, DimensionMismatchError
 
 from conftest import HAMMING_ROWS, build_pair7_a, build_pair7_b
@@ -298,3 +300,83 @@ def test_cnot_checker_matches_oracle_on_degenerate_pairs(case):
         assert rep.verdict == res.ok, (case, mode, rep.conditions)
         assert rep.witness == res.witness, (case, mode)
     assert res.ok == case.endswith("same")
+
+
+# -- oracle order and capacity ------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def equal_k_corpus():
+    """400 seeded random_valid_pair draws at n = 4-7 with equal logical dimensions."""
+    rng = np.random.default_rng(2026)
+    pairs = []
+    while len(pairs) < 400:
+        qa, qb = sampling.random_valid_pair(rng, int(rng.integers(4, 8)))
+        if qa.k == qb.k:
+            pairs.append((qa, qb))
+    return pairs
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cz"])
+def test_oracle_stops_at_checker_witness_in_lexicographic_order(gate, equal_k_corpus):
+    """The oracle visits basis pairs in lexicographic order and stops at the first failure.
+
+    That first failure is the checker's witness; a pass checks all 4^k
+    pairs, plus the superposition input for CZ.
+    """
+    checker, oracle, extra = {
+        "cnot": (check_cnot_transversal, oracle_cnot, 0),
+        "cz": (check_cz_transversal, oracle_cz, 1),
+    }[gate]
+    passes = late_failures = 0
+    for qa, qb in equal_k_corpus:
+        rep, res = checker(qa, qb), oracle(qa, qb)
+        assert rep.verdict == res.ok
+        assert rep.witness == res.witness
+        if res.ok:
+            passes += 1
+            assert res.pairs_checked == 4**qa.k + extra
+        else:
+            index = int("".join(map(str, res.witness[0] + res.witness[1])), 2)
+            assert res.pairs_checked == index + 1
+            late_failures += index > 0
+    assert passes > 0 and late_failures > 0
+
+
+def test_oracle_capacity_checked_before_allocation():
+    # n = 13: 2^26 joint amplitudes, about 7.5 GiB at the estimated bytes per amplitude.
+    qa, qb = sampling.random_cnot_pair(np.random.default_rng(13), 13)
+    for oracle in (oracle_cnot, oracle_cz):
+        tracemalloc.start()
+        try:
+            with pytest.raises(CapacityError, match="2\\^26"):
+                oracle(qa, qb)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+
+def test_oracle_byte_estimate_admits_n12():
+    # n = 12: 2^24 joint amplitudes, about 1.9 GiB at the estimate; the precheck must not raise.
+    qa, qb = sampling.random_cnot_pair(np.random.default_rng(12), 12)
+    transversality._oracle_precheck(qa, qb)
+
+
+@pytest.mark.parametrize("gate", ["cnot", "cz"])
+def test_oracle_working_set_within_byte_estimate(gate):
+    rng = np.random.default_rng(9)
+    if gate == "cnot":
+        qa, qb = sampling.random_cnot_pair(rng, 9)
+        oracle = oracle_cnot
+    else:
+        qa, qb = sampling.random_repaired_mirrored_pair(rng, 9)
+        oracle = oracle_cz
+    tracemalloc.start()
+    try:
+        res = oracle(qa, qb)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.ok and qa.k > 0  # every basis pair was gated
+    assert peak <= (transversality._ORACLE_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
