@@ -78,10 +78,14 @@ def random_cnot_pair(rng: np.random.Generator, n: int,
     With shared_encoding=True the two codes reuse the same
     representative rows, which makes the pair CNOT-transversal; with
     False each code gets independently scrambled representatives (the
-    pair then usually fails the encoding condition).
+    pair then usually fails the encoding condition).  Needs n >= 3.
     """
+    if n < 3:
+        raise ValueError(f"a nested pair needs n >= 3, got n = {n}")
     while True:
         k = int(rng.integers(1, 3))
+        if n - k < 2:
+            continue  # no room for r2 >= 1 beside k (k = 2 at n = 3): redraw k
         r2 = int(rng.integers(1, n - k))
         extra = int(rng.integers(0, n - k - r2 + 1))
         if r2 + extra + k <= n:

@@ -3,7 +3,10 @@
 This is the ground-truth layer: encoded logical states, Pauli
 operators, and the pairwise transversal CNOT/CZ maps, all computed on
 full 2^m amplitude arrays.  Global phase is tracked exactly (never
-modded out) because the CZ comparisons are amplitude-exact.
+modded out) because the CZ comparisons are amplitude-exact.  The
+transversality oracles do not run through these arrays; they compare
+coset supports, and the tests check them against a dense reference
+built from this module at small n.
 
 Qubit 1 is the most significant bit of the basis index; a joint
 register holds block A on qubits 1..n and block B on qubits n+1..2n.

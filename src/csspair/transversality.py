@@ -21,9 +21,13 @@ implies vanishing everywhere.
 
 Every verdict produced here can be re-derived by brute force with
 `oracle_cnot` / `oracle_cz`, which compare encode-then-gate against
-gate-then-encode amplitude-wise on all logical basis pairs, in the
-order the checkers pick witnesses; pairs whose dense 2^(2n) arrays
-exceed MAX_EXACT_BYTES (n > 12) raise CapacityError.
+gate-then-encode on every joint basis entry of all logical basis pairs,
+in the order the checkers pick witnesses.  An encoded basis ket is
+uniform over one coset x_psi + span(x_stab), so the oracles hold each
+ket as its sorted support and compare supports and signs exactly; they
+read only x_stab and enc_a.  Pairs that would visit more than 2^24
+joint entries, 2^(2k + rx_A + rx_B) with rx the X-stabilizer rank,
+raise CapacityError before anything is allocated.
 """
 
 from __future__ import annotations
@@ -34,10 +38,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from . import gf2, statevec
+from . import gf2
 from .codes import CssCode, make_css_from_stabilizers, with_encoding
 from .errors import (
-    MAX_EXACT_BYTES,
     CapacityError,
     ContainmentError,
     DimensionMismatchError,
@@ -47,8 +50,11 @@ from .errors import (
 from .gf2 import BitMatrix
 
 ORACLE_TOL = 1e-12
-# Traced peak of one oracle call: 104 (CNOT) and 113 (CZ) bytes per joint amplitude at n = 8-10.
-_ORACLE_BYTES_PER_AMPLITUDE = 120
+# Joint entries an oracle call may visit, as a power of two: the amplitudes the dense
+# state-vector oracle held per basis pair at its n = 12 limit.
+_ORACLE_MAX_ENTRY_BITS = 24
+# Joint entries gated at once, as one block of control-coset rows against a target coset.
+_ORACLE_BLOCK_ENTRIES = 1 << 20
 
 Witness = tuple[tuple[int, ...], tuple[int, ...]]
 
@@ -335,51 +341,95 @@ def _oracle_precheck(qa: CssCode, qb: CssCode) -> None:
     _require_same_length(qa, qb)
     if qa.k != qb.k:
         raise ValueError(f"oracle needs equal logical dimensions, got {qa.k} vs {qb.k}")
-    need = _ORACLE_BYTES_PER_AMPLITUDE << (2 * qa.n)
-    if need > MAX_EXACT_BYTES:
-        raise CapacityError(f"the oracle needs {need} bytes for 2^{2 * qa.n} joint amplitudes; "
-                            f"the limit is {MAX_EXACT_BYTES}")
+    if qa.n > 64:
+        raise CapacityError(f"the oracle needs n <= 64 to pack a block into one word, "
+                            f"got n = {qa.n}")
+    exponent = 2 * qa.k + qa.x_stab.rows + qb.x_stab.rows
+    if exponent > _ORACLE_MAX_ENTRY_BITS:
+        raise CapacityError(f"the oracle needs 2^{exponent} joint entries (4^{qa.k} basis pairs "
+                            f"of 2^{qa.x_stab.rows} x 2^{qb.x_stab.rows} support entries); "
+                            f"the limit is 2^{_ORACLE_MAX_ENTRY_BITS}")
+
+
+def _span_words(rows: BitMatrix) -> np.ndarray:
+    """All 2^r sums of the r rows as uint64 words; entry i sums the rows whose
+    bits spell i, first row most significant (so i indexes `logical_kets`)."""
+    words = np.zeros(1, dtype=np.uint64)
+    for row in reversed(rows.a):
+        words = np.concatenate([words, words ^ np.uint64(gf2.vector_to_int(row))])
+    return words
+
+
+def _coset_supports(q: CssCode) -> tuple[np.ndarray, np.floating]:
+    """Supports of q's 2^k encoded basis kets, row i sorted, and their common amplitude.
+
+    Ket i is uniform over the coset x_i + span(x_stab), x_i the sum of
+    the enc_a rows that logical vector i selects.
+    """
+    stab = _span_words(q.x_stab)
+    supports = _span_words(q.enc_a)[:, None] ^ stab
+    supports.sort(axis=1)
+    return supports, 1.0 / np.sqrt(stab.size)
+
+
+def _gate_matches(va: np.ndarray, wb: np.ndarray, cz: bool, expected) -> bool:
+    """Whether the gate takes every joint entry (v, w) of va x wb to the expected state.
+
+    CNOT maps (v, w) to (v, v ^ w), so each v ^ wb must be the sorted
+    target support `expected`.  CZ keeps (v, w) with sign
+    (-1)^popcount(v & w), whose parity must be `expected` throughout.
+    """
+    step = max(1, min(va.size, _ORACLE_BLOCK_ENTRIES // wb.size))
+    block = np.empty((step, wb.size), dtype=np.uint64)
+    for lo in range(0, va.size, step):
+        v = va[lo:lo + step, None]
+        gated = block[:v.shape[0]]
+        if cz:
+            np.bitwise_and(v, wb, out=gated)
+            if np.any((np.bitwise_count(gated) & 1) != expected):
+                return False
+        else:
+            np.bitwise_xor(v, wb, out=gated)
+            gated.sort(axis=1)
+            if not np.all(gated == expected):
+                return False
+    return True
 
 
 def _oracle(qa: CssCode, qb: CssCode, tol: float, cz: bool) -> OracleResult:
     """Both oracles' loop.  With kets in `logical_kets` order, psi_a + psi_b
-    is index i ^ j and psi_a . psi_b is the parity of i & j."""
+    is index i ^ j and psi_a . psi_b is the parity of i & j.
+
+    Every joint entry of a basis pair has amplitude a*b, so a pair that
+    fails deviates by a*b (CNOT: an entry present on one side only) or
+    2*a*b (CZ: a sign flip), as in a dense amplitude comparison.
+    """
     _oracle_precheck(qa, qb)
-    n = qa.n
     psis = list(product((0, 1), repeat=qa.k))
-    kets_a = [statevec.encode_logical(qa, psi) for psi in psis]
-    kets_b = [statevec.encode_logical(qb, psi) for psi in psis]
-    gate = statevec.apply_transversal_cz if cz else statevec.apply_transversal_cnot
+    supports_a, amp_a = _coset_supports(qa)
+    supports_b, amp_b = _coset_supports(qb)
+    joint = float(amp_a * amp_b)
     worst = 0.0
     pairs = 0
-    for i, ket_a in enumerate(kets_a):
-        for j, ket_b in enumerate(kets_b):
+    for i, va in enumerate(supports_a):
+        for j, wb in enumerate(supports_b):
             pairs += 1
-            joint = statevec.tensor(ket_a, ket_b)
-            gated = gate(joint, n)
             if cz:
-                sign = (-1.0) ** (i & j).bit_count()
-                expected = statevec.StateVector(2 * n, sign * joint.amp, check=False)
+                dev = 0.0 if _gate_matches(va, wb, True, (i & j).bit_count() & 1) else 2 * joint
             else:
-                expected = statevec.tensor(ket_a, kets_b[i ^ j])
-            dev = statevec.max_amplitude_deviation(gated, expected)
+                dev = 0.0 if _gate_matches(va, wb, False, supports_b[i ^ j]) else joint
             worst = max(worst, dev)
             if dev > tol:
                 return OracleResult(False, (psis[i], psis[j]), dev, pairs)
     if cz:
-        # Superposition input: all logical kets at once on both sides.
+        # Superposition input: all logical kets at once on both sides.  Each
+        # joint entry carries (s*a)*(s*b) after the gate against (a*b)/2^k
+        # expected, with equal signs where no basis pair flipped one.  A flip
+        # would make the deviation their sum, at most 2*a*b: the flipped basis
+        # pair's own deviation, already in `worst` and within tol.
         pairs += 1
         scale = 1.0 / np.sqrt(len(psis))
-        plus_a = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_a], axis=0), check=False)
-        plus_b = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_b], axis=0), check=False)
-        gated = statevec.apply_transversal_cz(statevec.tensor(plus_a, plus_b), n)
-        expected_amp = np.zeros_like(gated.amp)
-        for i, ket_a in enumerate(kets_a):
-            for j, ket_b in enumerate(kets_b):
-                expected_amp += (-1.0) ** (i & j).bit_count() * statevec.tensor(ket_a, ket_b).amp
-        expected_amp /= len(psis)
-        expected = statevec.StateVector(2 * n, expected_amp, check=False)
-        dev = statevec.max_amplitude_deviation(gated, expected)
+        dev = abs(float((scale * amp_a) * (scale * amp_b)) - joint / len(psis))
         worst = max(worst, dev)
         if dev > tol:
             return OracleResult(False, None, dev, pairs)
@@ -391,8 +441,11 @@ def oracle_cnot(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResu
 
     For every logical basis pair (psi_a, psi_b), in lexicographic order,
     compares gating the encoded states against encoding the gated
-    logicals |psi_a> (x) |psi_a + psi_b>, amplitude-wise; the first
-    pair off by more than tol is the witness.
+    logicals |psi_a> (x) |psi_a + psi_b>: every control support entry v
+    must take the target support to v ^ support(psi_b) =
+    support(psi_a + psi_b).  The first pair off by more than tol is the
+    witness.  Work and capacity follow the 2^(2k + rx_A + rx_B) joint
+    entries visited.
     """
     return _oracle(qa, qb, tol, cz=False)
 
@@ -401,9 +454,11 @@ def oracle_cz(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResult
     """Exhaustive state-vector certification of pairwise-CZ transversality.
 
     Basis pairs are compared in the same order with the exact sign
-    (-1)^(psi_a . psi_b); if all pass, a uniform-superposition input is
-    checked as one more pair, where a phase error that is constant on
-    basis states would also surface.
+    (-1)^(psi_a . psi_b), which the parity of v & w must match on every
+    joint support entry (v, w); if all pass, a uniform-superposition
+    input is checked as one more pair, where a phase error that is
+    constant on basis states would also surface.  Work and capacity
+    follow the 2^(2k + rx_A + rx_B) joint entries visited.
     """
     return _oracle(qa, qb, tol, cz=True)
 

@@ -105,7 +105,7 @@ def test_capacity_error_exits_3(capsys, tmp_path):
 
 
 def test_oracle_capacity_exits_3(capsys, tmp_path):
-    qa, qb = random_cnot_pair(np.random.default_rng(13), 13)
+    qa, qb = random_cnot_pair(np.random.default_rng(4), 13)  # 2^25 joint entries
     save_css(qa, tmp_path / "a.code")
     save_css(qb, tmp_path / "b.code")
     for argv in (["check-cnot", "--oracle"], ["check-cz", "--oracle"], ["verify"]):

@@ -344,17 +344,25 @@ def test_oracle_stops_at_checker_witness_in_lexicographic_order(gate, equal_k_co
 
 
 def test_oracle_capacity_checked_before_allocation():
-    # n = 13: 2^26 joint amplitudes, about 7.5 GiB at the estimated bytes per amplitude.
-    qa, qb = sampling.random_cnot_pair(np.random.default_rng(13), 13)
+    # n = 13, k = 2, rx 10 + 11: 2^25 joint entries, one power of two over the limit.
+    qa, qb = sampling.random_cnot_pair(np.random.default_rng(4), 13)
     for oracle in (oracle_cnot, oracle_cz):
         tracemalloc.start()
         try:
-            with pytest.raises(CapacityError, match="2\\^26"):
+            with pytest.raises(CapacityError, match="2\\^25"):
                 oracle(qa, qb)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+def test_oracle_refuses_blocks_wider_than_a_word():
+    # Supports are uint64 words; n = 65 is refused before the entry count is looked at.
+    q = make_css(make_classical(BitMatrix.identity(65)), make_classical(BitMatrix.identity(65)))
+    for oracle in (oracle_cnot, oracle_cz):
+        with pytest.raises(CapacityError, match="n <= 64"):
+            oracle(q, q)
 
 
 def test_oracle_byte_estimate_admits_n12():
@@ -363,15 +371,25 @@ def test_oracle_byte_estimate_admits_n12():
     transversality._oracle_precheck(qa, qb)
 
 
+def _oracle_bytes_estimate(qa, qb) -> int:
+    """Working set of one oracle call: both codes' 2^k sorted supports at 8 B
+    per entry, plus one block of gated joint entries at 10 B each (a uint64
+    word and a match or parity byte; 9-10 B traced at n = 16-22)."""
+    rxa, rxb = qa.x_stab.rows, qb.x_stab.rows
+    block = min(1 << (rxa + rxb), transversality._ORACLE_BLOCK_ENTRIES)
+    return 8 * 2**qa.k * (2**rxa + 2**rxb) + 10 * block
+
+
 @pytest.mark.parametrize("gate", ["cnot", "cz"])
 def test_oracle_working_set_within_byte_estimate(gate):
-    rng = np.random.default_rng(9)
+    # Both pairs have more joint entries per basis pair (2^22, 2^21) than one block holds.
     if gate == "cnot":
-        qa, qb = sampling.random_cnot_pair(rng, 9)
+        qa, qb = sampling.random_cnot_pair(np.random.default_rng(1), 16)
         oracle = oracle_cnot
     else:
-        qa, qb = sampling.random_repaired_mirrored_pair(rng, 9)
+        qa, qb = sampling.random_repaired_mirrored_pair(np.random.default_rng(1), 22, 1)
         oracle = oracle_cz
+    assert qa.x_stab.rows + qb.x_stab.rows > transversality._ORACLE_BLOCK_ENTRIES.bit_length() - 1
     tracemalloc.start()
     try:
         res = oracle(qa, qb)
@@ -379,4 +397,14 @@ def test_oracle_working_set_within_byte_estimate(gate):
     finally:
         tracemalloc.stop()
     assert res.ok and qa.k > 0  # every basis pair was gated
-    assert peak <= (transversality._ORACLE_BYTES_PER_AMPLITUDE << 18) + (1 << 20)
+    assert peak <= _oracle_bytes_estimate(qa, qb) + (1 << 20)
+
+
+def test_random_cnot_pair_small_n_redraws_k():
+    # At n = 3 a draw of k = 2 leaves no room for a stabilizer rank r2 >= 1; k is redrawn.
+    for seed in range(20):
+        qa, qb = sampling.random_cnot_pair(np.random.default_rng(seed), 3)
+        assert (qa.n, qa.k, qb.k) == (3, 1, 1)
+        assert check_cnot_transversal(qa, qb).verdict and oracle_cnot(qa, qb).ok
+    with pytest.raises(ValueError, match="n >= 3"):
+        sampling.random_cnot_pair(np.random.default_rng(0), 2)
