@@ -9,12 +9,16 @@ the correlated Z(x)X with f3.  Fidelity questions therefore reduce to
 classical syndrome bookkeeping; no state vectors appear on this path
 (the statevec module independently validates the gate algebra).
 
-Each station's decoder sees an error only through a linear map (its
-syndrome and logical-class rows), so exact mode never lists the 4^n
-error patterns: it propagates the joint distribution of both stations'
-images, 2^m values with m <= n + k for CNOT-transversal pairs, one
-qubit at a time.  Monte Carlo mode samples patterns and looks their
-classes up in the same decoders' tables.
+Each station's minimum-weight coset leaders come from a breadth-first
+search over its 2^r syndromes (least qubit first, which keeps the
+lexicographic tie-break), never from the 2^n errors.  The decoder sees
+an error only through a linear map (its syndrome and logical-class
+rows), so exact mode never lists the 4^n error patterns: it propagates
+the joint distribution of both stations' images, 2^m values with
+m <= n + k for CNOT-transversal pairs, one qubit at a time.  Monte Carlo
+mode samples patterns, maps them through the same linear maps by a
+GF(2) matrix product, and folds the images onto residual classes as
+exact mode does.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -38,7 +42,12 @@ from .gf2 import BitMatrix
 from .transversality import check_cnot_transversal
 
 MAX_EXACT_PATTERNS = 2**26
-MAX_TABLE_LENGTH = 15
+# Packed error ints put qubit 1 on bit n - 1 of an int64.
+MAX_PACKED_LENGTH = 62
+# The leader search holds two int64 tables over the 2^r syndromes, and a
+# few int64 vectors over each layer's n steps from at most 2^r syndromes.
+DECODER_BYTES_PER_SYNDROME = 16
+DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
 # Monte Carlo draws each seed stream in blocks of this many rows.
@@ -102,44 +111,65 @@ class _SyndromeDecoder:
     logical class).  Column j of that map is packed into the int
     `columns[j]`, syndrome bits above the k class bits, so the image of
     an error is the XOR of the columns on its support.  Error ints put
-    qubit 1 on the most significant bit.  Ties between equal-weight
-    leaders are broken by the lexicographic order of their support
-    index tuples.
+    qubit 1 on the most significant bit.
+
+    A breadth-first search over the 2^r syndromes, one weight layer at a
+    time, sets leader(s) = e_i + leader(s ^ col_i) for the least qubit i
+    that steps onto s.  The lexicographically first minimum-weight
+    support starts at that i, so ties go to the first support tuple.
     """
 
     def __init__(self, stab: BitMatrix, pairing: BitMatrix):
         n = stab.cols
-        if n > MAX_TABLE_LENGTH:
-            raise CapacityError(f"coset-leader tables support n <= {MAX_TABLE_LENGTH}")
+        if n > MAX_PACKED_LENGTH:
+            raise CapacityError(f"packed decoding supports n <= {MAX_PACKED_LENGTH}, got n = {n}")
         self.r = stab.rows
         self.k = pairing.rows
+        need = (DECODER_BYTES_PER_SYNDROME + DECODER_BYTES_PER_STEP * n) << self.r
+        if need > MAX_EXACT_BYTES:
+            raise CapacityError(
+                f"the coset-leader search needs {need} bytes for 2^{self.r} syndromes; "
+                f"the limit is {MAX_EXACT_BYTES}")
         self.class_mask = (1 << self.k) - 1
-        rows = np.vstack([stab.a, pairing.a]).astype(np.int64)
-        self.columns = (rows << np.arange(len(rows) - 1, -1, -1)[:, None]).sum(axis=0)
-        images = self.images()
-        errors = np.arange(1 << n, dtype=np.int64)
-        mask = errors.size - 1
-        # Rank by weight, then by support tuple: among equal weights the
-        # lexicographically first tuple is the larger int, so rank by its
-        # complement.  The least rank per syndrome is its leader.
-        rank = (np.bitwise_count(errors).astype(np.int64) << n) | (errors ^ mask)
-        unreached = (n + 1) << n
-        best = np.full(1 << self.r, unreached, dtype=np.int64)
-        np.minimum.at(best, images >> self.k, rank)
-        assert best.max() < unreached, "stabilizer matrix rows must be independent"
-        self.leaders = (best & mask) ^ mask
-        self.leader_class = images[self.leaders] & self.class_mask
+        matrix = np.vstack([stab.a, pairing.a])
+        weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
+        self.columns = weights @ matrix.astype(np.int64)
+        self._matrix_t = matrix.T.astype(np.float32)
+        # float64 packs the image bits exactly below 2^53, and faster than int64.
+        self._weights = weights.astype(np.float64) if len(matrix) <= 53 else weights
+        synd_cols = self.columns >> self.k
+        class_cols = self.columns & self.class_mask
+        self.leaders = np.full(1 << self.r, -1, dtype=np.int64)
+        self.leaders[0] = 0
+        self.leader_class = np.zeros(1 << self.r, dtype=np.int64)
+        frontier = np.zeros(1, dtype=np.int64)
+        while frontier.size:
+            # Every (qubit, frontier) step of the layer, qubit-major, so the
+            # first step onto an unreached syndrome is through the least qubit.
+            steps = (frontier ^ synd_cols[:, None]).ravel()
+            fresh = np.flatnonzero(self.leaders[steps] < 0)
+            reached, first = np.unique(steps[fresh], return_index=True)
+            qubit = fresh[first] // frontier.size
+            parent = reached ^ synd_cols[qubit]
+            self.leaders[reached] = self.leaders[parent] | (1 << (n - 1 - qubit))
+            self.leader_class[reached] = self.leader_class[parent] ^ class_cols[qubit]
+            frontier = reached
+        assert self.leaders.min() >= 0, "stabilizer matrix rows must be independent"
 
-    def images(self) -> np.ndarray:
-        """Packed (syndrome, class) image of every error int 0..2^n-1."""
+    def decode(self, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(syndrome, residual class) of each row of a 0/1 error matrix.
+
+        The float32 product is exact: each entry counts at most n <= 62 ones."""
+        parity = (errors.astype(np.float32) @ self._matrix_t).astype(np.uint8) & 1
+        image = (parity.astype(self._weights.dtype) @ self._weights).astype(np.int64)
+        synd = image >> self.k
+        return synd, (image & self.class_mask) ^ self.leader_class[synd]
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(syndrome, residual class) for every error int 0..2^n-1: a test reference."""
         images = np.zeros(1, dtype=np.int64)
         for column in self.columns[::-1]:
             images = np.concatenate([images, images ^ column])
-        return images
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """(syndrome, residual class) for every error int 0..2^n-1."""
-        images = self.images()
         synd = images >> self.k
         return synd, (images & self.class_mask) ^ self.leader_class[synd]
 
@@ -188,11 +218,8 @@ def decode_css(q: CssCode, e_x, e_z) -> tuple[np.ndarray, np.ndarray, LogicalCla
     decoded = []
     for species, e in (("x", e_x), ("z", e_z)):
         dec = _station_decoder(q, species)
-        support = np.flatnonzero(np.asarray(e, dtype=np.uint8) % 2)
-        image = int(np.bitwise_xor.reduce(dec.columns[support], initial=0))
-        synd = image >> dec.k
-        correction = gf2.int_to_vector(int(dec.leaders[synd]), q.n)
-        decoded.append((correction, (image & dec.class_mask) ^ int(dec.leader_class[synd])))
+        (synd,), (residual,) = dec.decode(np.asarray(e, dtype=np.uint8)[None, :] % 2)
+        decoded.append((gf2.int_to_vector(int(dec.leaders[synd]), q.n), int(residual)))
     (corr_x, x_class), (corr_z, z_class) = decoded
     cls = LogicalClass(
         x=tuple(int(b) for b in gf2.int_to_vector(x_class, q.k)),
@@ -366,11 +393,10 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     """
     n = qa.n
     k = qa.k
-    _, class_a = _station_decoder(qa, "z").tables()
-    _, class_b = _station_decoder(qb, "x").tables()
+    dec_a = _station_decoder(qa, "z")
+    dec_b = _station_decoder(qb, "x")
     f0, f1, f2, _ = model.weights
     t1, t2, t3 = f0, f0 + f1, f0 + f1 + f2
-    powers = (1 << np.arange(n - 1, -1, -1)).astype(np.int64)
     counts = np.zeros((1 << k, 1 << qb.k), dtype=np.int64)
     children = np.random.SeedSequence(seed).spawn(jobs)
     base, extra = divmod(samples, jobs)
@@ -383,9 +409,9 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
         for start in range(0, block, MC_CHUNK_ROWS):
             u = rng.random((min(MC_CHUNK_ROWS, block - start), n))
             cat = (u >= t1).astype(np.int8) + (u >= t2) + (u >= t3)
-            ez = ((cat == 1) | (cat == 3)).astype(np.int64) @ powers
-            ex = ((cat == 2) | (cat == 3)).astype(np.int64) @ powers
-            joint = class_a[ez] * (1 << qb.k) + class_b[ex]
+            _, class_a = dec_a.decode((cat == 1) | (cat == 3))
+            _, class_b = dec_b.decode(cat >= 2)
+            joint = class_a * (1 << qb.k) + class_b
             counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
     return counts
 

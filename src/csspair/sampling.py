@@ -116,15 +116,23 @@ def random_independent_pair(rng: np.random.Generator, n: int) -> tuple[CssCode, 
 
 def random_mirrored_inputs(rng: np.random.Generator, n: int,
                            k: int | None = None) -> tuple[BitMatrix, BitMatrix]:
-    """Check matrices (z side, x side) valid for make_mirrored_pair."""
+    """Check matrices (z side, x side) valid for make_mirrored_pair.
+
+    Both check ranks are at least 1, so n - k >= 2 (a drawn k is redrawn
+    until it fits; a given k must fit).  Needs n >= 3.
+    """
+    if n < 3:
+        raise ValueError(f"mirrored inputs need n >= 3, got n = {n}")
+    if k is not None and n - k < 2:
+        raise ValueError(f"mirrored inputs need n - k >= 2, got n = {n}, k = {k}")
     if k is None:
         k = int(rng.integers(1, 3))
+        while n - k < 2:  # no room for two check ranks beside k (k = 2 at n = 3): redraw
+            k = int(rng.integers(1, 3))
     r1 = int(rng.integers(1, n - k))
     r2 = n - k - r1
     g1 = random_full_rank(rng, r1, n)
     ortho = gf2.dual_basis(g1)  # (n - r1) x n
-    if r2 == 0:
-        raise ValueError("ranks exhaust the block; pick smaller k or r1")
     coeffs = random_full_rank(rng, r2, ortho.rows)
     g2 = coeffs @ ortho
     return g1, g2

@@ -5,6 +5,7 @@ from __future__ import annotations
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from csspair import (
@@ -27,6 +28,12 @@ HAMMING_ROWS = ["1000011", "0100101", "0010110", "0001111"]
 PAIR7_X_CHECKS = ["1100000", "0101111"]
 PAIR7_REPS = ["0011011", "1011100"]
 PAIR7_EXTRA_CHECK = "0111010"
+
+STANDARD_SELF_PAIRS = {
+    # name: (n, g(x) exponents, classical k and d, CSS k, X-check rank)
+    "golay23": (23, (0, 2, 4, 5, 6, 10, 11), 12, 7, 1, 11),
+    "hamming15": (15, (0, 1, 4), 11, 3, 7, 4),
+}
 
 _ACCEPTANCE_LINES: list[str] = []
 
@@ -84,3 +91,17 @@ def build_pair7_b():
     x_checks = BitMatrix.from_strings(rows)
     c1 = make_classical(BitMatrix.from_strings(rows + PAIR7_REPS))
     return make_css(c1, ClassicalCode(dual_basis(x_checks)))
+
+
+def cyclic_code(n: int, exponents: tuple[int, ...]):
+    """Cyclic code of length n generated by g(x) = sum of x^e: the n - deg g shifts of g."""
+    g = np.zeros(n, dtype=np.uint8)
+    g[list(exponents)] = 1
+    rows = [np.roll(g, shift) for shift in range(n - max(exponents))]
+    return make_classical(BitMatrix(np.array(rows, dtype=np.uint8)))
+
+
+def x_checked_code(n: int, r: int):
+    """[[n, n - r]] code with r unit X checks and no Z checks."""
+    x_checks = BitMatrix(np.eye(n, dtype=np.uint8)[:r])
+    return make_css(make_classical(BitMatrix.identity(n)), ClassicalCode(dual_basis(x_checks)))

@@ -11,6 +11,8 @@ from csspair import BitMatrix, load_css, repeater, save_css
 from csspair.cli import main
 from csspair.sampling import random_cnot_pair, scramble_encoding
 
+from conftest import x_checked_code
+
 import numpy as np
 
 
@@ -114,6 +116,17 @@ def test_oracle_capacity_exits_3(capsys, tmp_path):
         assert code == 3
         assert out == ""
         assert err.startswith("capacity error: the oracle needs")
+
+
+def test_decoder_capacity_exits_3(capsys, tmp_path):
+    # 28 X checks on 29 qubits: the Z-error decoder would span 2^28 syndromes.
+    save_css(x_checked_code(29, 28), tmp_path / "a.code")
+    cfg = tmp_path / "big.cfg"
+    cfg.write_text("codeA=a.code\ncodeB=a.code\nf1=0.01\nmode=montecarlo\nsamples=1000\nseed=1\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 3
+    assert out == ""
+    assert err.startswith("capacity error: the coset-leader search needs")
 
 
 def test_distance_classical(capsys, tmp_path):

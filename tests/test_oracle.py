@@ -14,11 +14,9 @@ import numpy as np
 import pytest
 
 from csspair import (
-    BitMatrix,
     OracleResult,
     check_cnot_transversal,
     check_cz_transversal,
-    make_classical,
     make_css,
     min_distance,
     oracle_cnot,
@@ -27,6 +25,8 @@ from csspair import (
     statevec,
     transversality,
 )
+
+from conftest import STANDARD_SELF_PAIRS, cyclic_code
 
 DENSE_MAX_N = 10
 
@@ -153,25 +153,10 @@ def test_former_dense_limit_pair_certifies():
     assert oracle_cz(qa, qb).ok == check_cz_transversal(qa, qb).verdict
 
 
-def _cyclic_code(n: int, exponents: tuple[int, ...]):
-    """Cyclic code of length n generated by g(x) = sum of x^e: the n - deg g shifts of g."""
-    g = np.zeros(n, dtype=np.uint8)
-    g[list(exponents)] = 1
-    rows = [np.roll(g, shift) for shift in range(n - max(exponents))]
-    return make_classical(BitMatrix(np.array(rows, dtype=np.uint8)))
-
-
-STANDARD_SELF_PAIRS = {
-    # name: (n, g(x) exponents, classical k and d, CSS k, X-check rank)
-    "golay23": (23, (0, 2, 4, 5, 6, 10, 11), 12, 7, 1, 11),
-    "hamming15": (15, (0, 1, 4), 11, 3, 7, 4),
-}
-
-
 @pytest.mark.parametrize("name", sorted(STANDARD_SELF_PAIRS))
 def test_standard_self_pairs_past_dense_limit(name):
     n, exponents, k_classical, d, k, rx = STANDARD_SELF_PAIRS[name]
-    code = _cyclic_code(n, exponents)
+    code = cyclic_code(n, exponents)
     assert (code.k, min_distance(code)) == (k_classical, d)
     q = make_css(code, code)  # the dual of each code lies inside it
     assert (q.n, q.k, q.x_stab.rows) == (n, k, rx)

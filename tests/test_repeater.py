@@ -23,9 +23,9 @@ from csspair import (
 )
 from csspair import gf2, repeater
 from csspair.errors import CapacityError, NonTransversalError, ParseError
-from csspair.sampling import random_cnot_pair
+from csspair.sampling import random_cnot_pair, random_repaired_mirrored_pair
 
-from conftest import HAMMING_ROWS
+from conftest import HAMMING_ROWS, STANDARD_SELF_PAIRS, cyclic_code, x_checked_code
 
 
 def weight_tail_bound(n, p, min_weight=2):
@@ -117,8 +117,11 @@ def test_leader_tables_match_weight_then_lexicographic_search():
     changes fidelity and must not drift.
     """
     rng = np.random.default_rng(777)
-    for n in (4, 5, 6, 7, 8, 9, 10):
-        qa, qb = random_cnot_pair(rng, n)
+    pairs = [random_cnot_pair(rng, n) for n in (4, 5, 6, 7, 8, 9, 10, 11, 12)]
+    rng = np.random.default_rng(778)
+    pairs += [random_repaired_mirrored_pair(rng, n) for n in (4, 5, 6, 7, 8, 9, 10, 11, 12)]
+    for qa, qb in pairs:
+        n = qa.n
         for q in (qa, qb):
             for species, stab, pairing in (("x", q.z_stab, repeater.logical_z_representatives(q)),
                                            ("z", q.x_stab, q.enc_a)):
@@ -449,3 +452,129 @@ def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
     finally:
         tracemalloc.stop()
     assert peak < 12 << 20
+
+
+# -- perfect codes: known answers from weight enumerators -------------------------
+
+# Stabilizer weight enumerators and the radius t of the perfect classical
+# code: the stabilizers are its even-weight dual, the simplex [15,4,8] code
+# and the [23,11,8] even Golay subcode.
+PERFECT = {
+    "hamming15": ({0: 1, 8: 15}, 1),
+    "golay23": ({0: 1, 8: 506, 12: 1288, 16: 253}, 3),
+}
+
+
+def standard_self_pair(name):
+    n, exponents = STANDARD_SELF_PAIRS[name][:2]
+    code = cyclic_code(n, exponents)
+    return make_css(code, code)
+
+
+@pytest.fixture(scope="module")
+def golay():
+    return standard_self_pair("golay23")
+
+
+def perfect_code_fidelity(name, p):
+    """Probability that a Bernoulli(p) error lies within distance t of a stabilizer word.
+
+    The classical code is perfect with radius t, so each syndrome's
+    minimum-weight leader is its only error of weight <= t, and decoding
+    succeeds exactly on these balls.  They are disjoint (the stabilizer
+    words lie in the code, at distance >= 2t + 1), so their masses add.
+    """
+    n = STANDARD_SELF_PAIRS[name][0]
+    enumerator, t = PERFECT[name]
+    total = 0.0
+    for w, count in enumerator.items():
+        for inside in range(min(w, t) + 1):
+            for outside in range(t - inside + 1):
+                weight = w - inside + outside
+                total += (count * comb(w, inside) * comb(n - w, outside)
+                          * p**weight * (1 - p) ** (n - weight))
+    return total
+
+
+@pytest.mark.parametrize("name", sorted(PERFECT))
+def test_perfect_code_leaders_fill_the_radius_t_ball(name):
+    q = standard_self_pair(name)
+    t = PERFECT[name][1]
+    for species in ("x", "z"):
+        dec = repeater._station_decoder(q, species)
+        by_weight = np.bincount(np.bitwise_count(dec.leaders))
+        assert by_weight.tolist() == [comb(q.n, w) for w in range(t + 1)], species
+
+
+@pytest.mark.parametrize("f", [0.01, 0.05])
+@pytest.mark.parametrize("channel", ["f1", "f2", "f3"])
+def test_hamming_exact_fidelity_matches_weight_enumerator(channel, f):
+    q = standard_self_pair("hamming15")
+    model = ErrorModel(**{"f1": 0.0, "f2": 0.0, "f3": 0.0, channel: f})
+    assert exact_logical_fidelity(q, q, model) == pytest.approx(
+        perfect_code_fidelity("hamming15", f), abs=1e-12)
+
+
+def test_golay_exact_and_montecarlo_match_weight_enumerator(golay):
+    model = ErrorModel(0.03, 0.0, 0.0)
+    expected = perfect_code_fidelity("golay23", 0.03)
+    assert exact_logical_fidelity(golay, golay, model) == pytest.approx(expected, abs=1e-12)
+    cfg = ProtocolConfig(qa=golay, qb=golay, model=model, mode="montecarlo",
+                         samples=200_000, seed=23)
+    rep = run_local_swapping(cfg)
+    assert abs(rep.logical_fidelity - expected) <= 5 * rep.standard_error
+
+
+def test_golay_decodes_weight3_errors_to_themselves(golay):
+    zero = np.zeros(golay.n, dtype=np.uint8)
+    for support in combinations(range(golay.n), 3):
+        e = zero.copy()
+        e[list(support)] = 1
+        corr_x, corr_z, cls = decode_css(golay, e, e)
+        assert np.array_equal(corr_x, e) and np.array_equal(corr_z, e) and cls.trivial, support
+
+
+# -- decoder capacity --------------------------------------------------------------
+
+def test_decoder_capacity_checked_before_allocation():
+    # 2^28 syndromes for the Z-error decoder.
+    q = x_checked_code(29, 28)
+    cfg = ProtocolConfig(qa=q, qb=q, model=ErrorModel(0.01, 0.0, 0.0), mode="montecarlo",
+                         samples=1000, seed=1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapacityError, match="2\\^28 syndromes"):
+            run_local_swapping(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_decoder_refuses_blocks_wider_than_packed_ints():
+    q = x_checked_code(63, 1)
+    zero = np.zeros(63, dtype=np.uint8)
+    with pytest.raises(CapacityError, match="n <= 62"):
+        decode_css(q, zero, zero)
+    # At n = 62 the 61 class bits pack through int64 rather than float64.
+    q = x_checked_code(62, 1)
+    e_x, e_z = np.ones(62, dtype=np.uint8), zero[:62].copy()
+    e_z[0] = 1  # X on every qubit goes unchecked; the one X check corrects this Z
+    corr_x, corr_z, cls = decode_css(q, e_x, e_z)
+    assert not corr_x.any() and np.array_equal(corr_z, e_z) and not any(cls.z)
+    assert np.array_equal(cls.x, repeater.logical_z_representatives(q).a @ e_x % 2)
+
+
+def test_decoder_working_set_within_byte_estimate():
+    n, r = 20, 14
+    q = x_checked_code(n, r)
+    tracemalloc.start()
+    try:
+        dec = repeater._SyndromeDecoder(q.x_stab, q.enc_a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Unit checks on qubits 1..r: each syndrome's leader is the error on its set bits.
+    assert np.array_equal(dec.leaders, np.arange(1 << r) << (n - r))
+    estimate = (repeater.DECODER_BYTES_PER_SYNDROME + repeater.DECODER_BYTES_PER_STEP * n) << r
+    assert peak <= estimate

@@ -408,3 +408,16 @@ def test_random_cnot_pair_small_n_redraws_k():
         assert check_cnot_transversal(qa, qb).verdict and oracle_cnot(qa, qb).ok
     with pytest.raises(ValueError, match="n >= 3"):
         sampling.random_cnot_pair(np.random.default_rng(0), 2)
+
+
+def test_mirrored_samplers_small_n_redraw_k():
+    # At n = 3 a draw of k = 2 leaves no room for two check ranks >= 1; k is redrawn.
+    for seed in range(20):
+        g1, g2 = sampling.random_mirrored_inputs(np.random.default_rng(seed), 3)
+        assert (g1.cols, g1.rows, g2.rows) == (3, 1, 1)
+        qa, qb = sampling.random_valid_pair(np.random.default_rng(seed), 3)
+        assert qa.n == qb.n == 3 and min(qa.k, qb.k) >= 1
+    with pytest.raises(ValueError, match="n - k >= 2"):
+        sampling.random_mirrored_inputs(np.random.default_rng(0), 3, k=2)
+    with pytest.raises(ValueError, match="n >= 3"):
+        sampling.random_mirrored_inputs(np.random.default_rng(0), 2)
