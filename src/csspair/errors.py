@@ -4,8 +4,7 @@ The CLI maps these onto exit codes: bad input (parsing, dimension or
 containment violations) exits 2, capacity overruns exit 3.
 """
 
-# Memory budget of exact link fidelity and of the coset-leader search
-# (CapacityError beyond).
+# Memory budget of exact link fidelity and the coset-leader search (CapacityError beyond).
 MAX_EXACT_BYTES = 2**31
 
 

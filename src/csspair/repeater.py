@@ -9,16 +9,12 @@ the correlated Z(x)X with f3.  Fidelity questions therefore reduce to
 classical syndrome bookkeeping; no state vectors appear on this path
 (the statevec module independently validates the gate algebra).
 
-Each station's minimum-weight coset leaders come from a breadth-first
-search over its 2^r syndromes (least qubit first, which keeps the
-lexicographic tie-break), never from the 2^n errors.  The decoder sees
-an error only through a linear map (its syndrome and logical-class
-rows), so exact mode never lists the 4^n error patterns: it propagates
-the joint distribution of both stations' images, 2^m values with
-m <= n + k for CNOT-transversal pairs, one qubit at a time.  Monte Carlo
-mode samples patterns, maps them through the same linear maps by a
-GF(2) matrix product, and folds the images onto residual classes as
-exact mode does.
+Each station's decoder (see _SyndromeDecoder) sees an error only
+through a linear map (its syndrome and logical-class rows), so exact
+mode never lists the 4^n error patterns: it propagates the joint
+distribution of both stations' images, 2^m values with m <= n + k for
+CNOT-transversal pairs, one qubit at a time.  Monte Carlo mode samples
+patterns and maps them through the same decoders.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -127,16 +123,13 @@ class _SyndromeDecoder:
         self.k = pairing.rows
         need = (DECODER_BYTES_PER_SYNDROME + DECODER_BYTES_PER_STEP * n) << self.r
         if need > MAX_EXACT_BYTES:
-            raise CapacityError(
-                f"the coset-leader search needs {need} bytes for 2^{self.r} syndromes; "
-                f"the limit is {MAX_EXACT_BYTES}")
+            raise CapacityError(f"the coset-leader search needs {need} bytes for 2^{self.r} "
+                                f"syndromes; the limit is {MAX_EXACT_BYTES}")
         self.class_mask = (1 << self.k) - 1
         matrix = np.vstack([stab.a, pairing.a])
-        weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
-        self.columns = weights @ matrix.astype(np.int64)
+        self._weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
+        self.columns = self._weights @ matrix.astype(np.int64)
         self._matrix_t = matrix.T.astype(np.float32)
-        # float64 packs the image bits exactly below 2^53, and faster than int64.
-        self._weights = weights.astype(np.float64) if len(matrix) <= 53 else weights
         synd_cols = self.columns >> self.k
         class_cols = self.columns & self.class_mask
         self.leaders = np.full(1 << self.r, -1, dtype=np.int64)
@@ -144,8 +137,7 @@ class _SyndromeDecoder:
         self.leader_class = np.zeros(1 << self.r, dtype=np.int64)
         frontier = np.zeros(1, dtype=np.int64)
         while frontier.size:
-            # Every (qubit, frontier) step of the layer, qubit-major, so the
-            # first step onto an unreached syndrome is through the least qubit.
+            # Qubit-major, so the first step onto a syndrome is the least qubit's.
             steps = (frontier ^ synd_cols[:, None]).ravel()
             fresh = np.flatnonzero(self.leaders[steps] < 0)
             reached, first = np.unique(steps[fresh], return_index=True)
@@ -161,7 +153,7 @@ class _SyndromeDecoder:
 
         The float32 product is exact: each entry counts at most n <= 62 ones."""
         parity = (errors.astype(np.float32) @ self._matrix_t).astype(np.uint8) & 1
-        image = (parity.astype(self._weights.dtype) @ self._weights).astype(np.int64)
+        image = parity.astype(np.int64) @ self._weights
         synd = image >> self.k
         return synd, (image & self.class_mask) ^ self.leader_class[synd]
 

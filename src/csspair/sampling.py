@@ -116,11 +116,7 @@ def random_independent_pair(rng: np.random.Generator, n: int) -> tuple[CssCode, 
 
 def random_mirrored_inputs(rng: np.random.Generator, n: int,
                            k: int | None = None) -> tuple[BitMatrix, BitMatrix]:
-    """Check matrices (z side, x side) valid for make_mirrored_pair.
-
-    Both check ranks are at least 1, so n - k >= 2 (a drawn k is redrawn
-    until it fits; a given k must fit).  Needs n >= 3.
-    """
+    """Check matrices (z side, x side) valid for make_mirrored_pair; both ranks are >= 1."""
     if n < 3:
         raise ValueError(f"mirrored inputs need n >= 3, got n = {n}")
     if k is not None and n - k < 2:

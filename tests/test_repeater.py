@@ -556,7 +556,7 @@ def test_decoder_refuses_blocks_wider_than_packed_ints():
     zero = np.zeros(63, dtype=np.uint8)
     with pytest.raises(CapacityError, match="n <= 62"):
         decode_css(q, zero, zero)
-    # At n = 62 the 61 class bits pack through int64 rather than float64.
+    # At n = 62 the 61 class bits still fit the packed int64 image.
     q = x_checked_code(62, 1)
     e_x, e_z = np.ones(62, dtype=np.uint8), zero[:62].copy()
     e_z[0] = 1  # X on every qubit goes unchecked; the one X check corrects this Z
@@ -578,3 +578,23 @@ def test_decoder_working_set_within_byte_estimate():
     assert np.array_equal(dec.leaders, np.arange(1 << r) << (n - r))
     estimate = (repeater.DECODER_BYTES_PER_SYNDROME + repeater.DECODER_BYTES_PER_STEP * n) << r
     assert peak <= estimate
+
+
+@pytest.mark.parametrize("n,r,seed", [(15, 14, 0), (20, 14, 1)])
+def test_decoder_working_set_per_step_on_wide_layers(n, r, seed):
+    # Dense random checks: the widest layer holds a large share of the 2^r syndromes.
+    rng = np.random.default_rng(seed)
+    checks = rng.integers(0, 2, size=(r + 1, n), dtype=np.uint8)
+    while gf2.rank(BitMatrix(checks)) < r + 1:
+        checks = rng.integers(0, 2, size=(r + 1, n), dtype=np.uint8)
+    tracemalloc.start()
+    try:
+        dec = repeater._SyndromeDecoder(BitMatrix(checks[:r]), BitMatrix(checks[r:]))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    layers = np.bincount([int(leader).bit_count() for leader in dec.leaders])
+    assert layers.max() >= (1 << r) // 4
+    # The search steps n times from each syndrome of a layer at once.
+    steps = n * int(layers.max())
+    assert peak <= (repeater.DECODER_BYTES_PER_SYNDROME << r) + repeater.DECODER_BYTES_PER_STEP * steps
