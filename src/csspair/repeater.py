@@ -14,7 +14,10 @@ through a linear map (its syndrome and logical-class rows), so exact
 mode never lists the 4^n error patterns: it propagates the joint
 distribution of both stations' images, 2^m values with m <= n + k for
 CNOT-transversal pairs, one qubit at a time.  Monte Carlo mode samples
-patterns and maps them through the same decoders.
+patterns and maps them through the same packed columns, decoding only
+the (row, qubit) entries the channel hit.  A row with no hit has image 0
+at both stations: syndrome 0, whose leader is the empty error with class
+0, so it counts as class (0, 0) without being decoded.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -46,8 +49,14 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo draws each seed stream in blocks of this many rows.
+# Monte Carlo draws each seed stream in blocks of this many rows.  When
+# every entry is a hit (f0 = 0) a block's working set stays within
+# MC_BYTES_PER_ENTRY per entry (the float64 draw; at most four int64
+# vectors and two masks over the hits alive at once) plus MC_BYTES_PER_ROW
+# per row (int64 vectors over the rows hit), whatever the sample count.
 MC_CHUNK_ROWS = 1 << 16
+MC_BYTES_PER_ENTRY = 48
+MC_BYTES_PER_ROW = 48
 
 
 @dataclass
@@ -127,9 +136,8 @@ class _SyndromeDecoder:
                                 f"syndromes; the limit is {MAX_EXACT_BYTES}")
         self.class_mask = (1 << self.k) - 1
         matrix = np.vstack([stab.a, pairing.a])
-        self._weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
-        self.columns = self._weights @ matrix.astype(np.int64)
-        self._matrix_t = matrix.T.astype(np.float32)
+        weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
+        self.columns = weights @ matrix.astype(np.int64)
         synd_cols = self.columns >> self.k
         class_cols = self.columns & self.class_mask
         self.leaders = np.full(1 << self.r, -1, dtype=np.int64)
@@ -148,22 +156,17 @@ class _SyndromeDecoder:
             frontier = reached
         assert self.leaders.min() >= 0, "stabilizer matrix rows must be independent"
 
-    def decode(self, errors: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """(syndrome, residual class) of each row of a 0/1 error matrix.
-
-        The float32 product is exact: each entry counts at most n <= 62 ones."""
-        parity = (errors.astype(np.float32) @ self._matrix_t).astype(np.uint8) & 1
-        image = parity.astype(np.int64) @ self._weights
-        synd = image >> self.k
-        return synd, (image & self.class_mask) ^ self.leader_class[synd]
+    def residual(self, images):
+        """(syndrome, residual class) of packed images, XORs of `columns`."""
+        synd = images >> self.k
+        return synd, (images & self.class_mask) ^ self.leader_class[synd]
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(syndrome, residual class) for every error int 0..2^n-1: a test reference."""
         images = np.zeros(1, dtype=np.int64)
         for column in self.columns[::-1]:
             images = np.concatenate([images, images ^ column])
-        synd = images >> self.k
-        return synd, (images & self.class_mask) ^ self.leader_class[synd]
+        return self.residual(images)
 
 
 _decoder_cache: "WeakKeyDictionary[CssCode, dict]" = WeakKeyDictionary()
@@ -210,7 +213,8 @@ def decode_css(q: CssCode, e_x, e_z) -> tuple[np.ndarray, np.ndarray, LogicalCla
     decoded = []
     for species, e in (("x", e_x), ("z", e_z)):
         dec = _station_decoder(q, species)
-        (synd,), (residual,) = dec.decode(np.asarray(e, dtype=np.uint8)[None, :] % 2)
+        support = np.flatnonzero(np.asarray(e, dtype=np.uint8) % 2)
+        synd, residual = dec.residual(np.bitwise_xor.reduce(dec.columns[support]))
         decoded.append((gf2.int_to_vector(int(dec.leaders[synd]), q.n), int(residual)))
     (corr_x, x_class), (corr_z, z_class) = decoded
     cls = LogicalClass(
@@ -337,6 +341,11 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
     (Z errors on A, X errors on B), so only its joint image on m bits,
     ordered (s_A, c_A, s_B, c_B), matters.  The image distribution is
     folded onto residual classes: (s, c) lands on c ^ leader_class[s].
+
+    A station that no channel reaches (A when f1 = f3 = 0, B when
+    f2 = f3 = 0) keeps image 0, which decodes to class 0, so only the
+    other station's bits are propagated.  The byte check still counts
+    both stations, so whether a pair fits does not depend on the noise.
     """
     m = qa.x_stab.rows + qa.k + qb.z_stab.rows + qb.k
     need = EXACT_BYTES_PER_IMAGE << m
@@ -345,15 +354,21 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
             f"exact mode needs {need} bytes for 2^{m} decoder images; the limit is {MAX_EXACT_BYTES}")
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
-    width_b = dec_b.r + dec_b.k
-    p = _image_distribution([int(c) << width_b for c in dec_a.columns],
-                            dec_b.columns.tolist(), m, model)
+    _, f1, f2, f3 = model.weights
+    # An unreached station's columns enter only zero-weight terms, which are skipped.
+    ra, ka = (dec_a.r, dec_a.k) if f1 or f3 else (0, 0)
+    rb, kb = (dec_b.r, dec_b.k) if f2 or f3 else (0, 0)
+    p = _image_distribution([int(c) << (rb + kb) for c in dec_a.columns],
+                            dec_b.columns.tolist(), ra + ka + rb + kb, model)
     # Gathering class y ^ leader_class[s] under syndrome s puts residual y in column y.
-    p = p.reshape(1 << dec_a.r, 1 << dec_a.k, 1 << dec_b.r, 1 << dec_b.k)
-    synd_b = np.arange(1 << dec_b.r)[:, None]
-    p = p[:, :, synd_b, np.arange(1 << dec_b.k) ^ dec_b.leader_class[:, None]].sum(axis=2)
-    synd_a = np.arange(1 << dec_a.r)[:, None]
-    return p[synd_a, np.arange(1 << dec_a.k) ^ dec_a.leader_class[:, None]].sum(axis=0)
+    p = p.reshape(1 << ra, 1 << ka, 1 << rb, 1 << kb)
+    synd_b = np.arange(1 << rb)[:, None]
+    p = p[:, :, synd_b, np.arange(1 << kb) ^ dec_b.leader_class[:1 << rb, None]].sum(axis=2)
+    synd_a = np.arange(1 << ra)[:, None]
+    p = p[synd_a, np.arange(1 << ka) ^ dec_a.leader_class[:1 << ra, None]].sum(axis=0)
+    breakdown = np.zeros((1 << dec_a.k, 1 << dec_b.k))
+    breakdown[:1 << ka, :1 << kb] = p
+    return breakdown
 
 
 def exact_logical_fidelity(qa: CssCode, qb: CssCode, model: ErrorModel) -> float:
@@ -374,6 +389,29 @@ def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
     return out
 
 
+def _hit_classes(flat: np.ndarray, n: int, thresholds: tuple[float, float, float],
+                 dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder) -> tuple[np.ndarray, np.ndarray]:
+    """Residual classes (at A, at B) of the sample rows the channel hit.
+
+    `flat` holds rows of n uniforms; u >= t1 is a hit, X on B when
+    u >= t2, Z on A when u < t2 or u >= t3.  Only the hits are decoded:
+    each XORs its qubit's packed column into its row's image at every
+    station it reaches, one `reduceat` per station over the hits in row
+    order.  Rows with no hit are not returned.
+    """
+    t1, t2, t3 = thresholds
+    hit = np.flatnonzero(flat >= t1)
+    x = flat[hit] >= t2
+    z = ~x | (flat[hit] >= t3)
+    row = hit // n
+    first = np.flatnonzero(np.diff(row, prepend=-1) > 0)  # each hit row's first hit
+    qubit = hit - row * n
+    del hit, row  # freed before the column gathers, which set the peak working set
+    _, class_a = dec_a.residual(np.bitwise_xor.reduceat(dec_a.columns[qubit] * z, first))
+    _, class_b = dec_b.residual(np.bitwise_xor.reduceat(dec_b.columns[qubit] * x, first))
+    return class_a, class_b
+
+
 def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
                   seed: int, jobs: int) -> np.ndarray:
     """Joint class counts from Monte Carlo sampling.
@@ -381,30 +419,35 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     The samples are split over `jobs` seed streams, child streams of
     the seed drawn one after another in this process.  The stream count
     is part of what fixes the sample: results are reproducible for a
-    fixed (seed, samples, jobs) triple.
+    fixed (seed, samples, jobs) triple.  Streams past the `samples`-th
+    would draw no rows, so they are never spawned.
+
+    Only the entries the channel hits (u >= f0) are decoded, and at low
+    noise nearly every entry is the identity (see _hit_classes).  A row
+    with no hit has image 0 at both stations; syndrome 0's leader is the
+    empty error, with class 0, so such a row counts as class (0, 0).
     """
-    n = qa.n
-    k = qa.k
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
+    for dec in (dec_a, dec_b):
+        assert dec.leaders[0] == 0 and dec.leader_class[0] == 0, "syndrome 0 must decode to class 0"
     f0, f1, f2, _ = model.weights
-    t1, t2, t3 = f0, f0 + f1, f0 + f1 + f2
-    counts = np.zeros((1 << k, 1 << qb.k), dtype=np.int64)
-    children = np.random.SeedSequence(seed).spawn(jobs)
-    base, extra = divmod(samples, jobs)
-    for w, child in enumerate(children):
+    thresholds = (f0, f0 + f1, f0 + f1 + f2)
+    counts = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
+    streams = min(jobs, samples)
+    base, extra = divmod(samples, streams)
+    u = np.empty((min(MC_CHUNK_ROWS, base + (extra > 0)), qa.n))  # the largest block's chunk
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
         block = base + (1 if w < extra else 0)
-        if block == 0:
-            continue
         rng = np.random.default_rng(child)
         # Row chunks consume the stream in the same order as one draw.
         for start in range(0, block, MC_CHUNK_ROWS):
-            u = rng.random((min(MC_CHUNK_ROWS, block - start), n))
-            cat = (u >= t1).astype(np.int8) + (u >= t2) + (u >= t3)
-            _, class_a = dec_a.decode((cat == 1) | (cat == 3))
-            _, class_b = dec_b.decode(cat >= 2)
+            rows = min(MC_CHUNK_ROWS, block - start)
+            flat = rng.random(out=u[:rows]).ravel()
+            class_a, class_b = _hit_classes(flat, qa.n, thresholds, dec_a, dec_b)
             joint = class_a * (1 << qb.k) + class_b
             counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
+            counts[0, 0] += rows - joint.size
     return counts
 
 

@@ -454,6 +454,66 @@ def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
     assert peak < 12 << 20
 
 
+def dense_reference_counts(qa, qb, model, samples, seed, jobs):
+    """Class counts from every (row, qubit) entry of one draw per stream, via tables()."""
+    n = qa.n
+    _, class_a = repeater._station_decoder(qa, "z").tables()
+    _, class_b = repeater._station_decoder(qb, "x").tables()
+    f0, f1, f2, _ = model.weights
+    powers = 1 << np.arange(n - 1, -1, -1)
+    expected = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(jobs)):
+        block = samples // jobs + (1 if w < samples % jobs else 0)
+        u = np.random.default_rng(child).random((block, n))
+        z = (u >= f0) & ((u < f0 + f1) | (u >= f0 + f1 + f2))
+        x = u >= f0 + f1
+        np.add.at(expected, (class_a[z @ powers], class_b[x @ powers]), 1)
+    return expected
+
+
+@pytest.mark.parametrize("f", [(0.0, 0.0, 0.0), (0.3, 0.3, 0.4), (0.05, 0.0, 0.01),
+                               (0.0, 0.05, 0.01), (0.0, 0.0, 1.0)])
+@pytest.mark.parametrize("pair", ["pair7", "random15"])
+def test_montecarlo_sparse_fold_matches_dense_reference_at_edge_models(pair, f, pair7_a, pair7_b):
+    # No hits; every entry a hit (f0 = 0); coinciding thresholds; certain correlated errors.
+    qa, qb = (pair7_a, pair7_b) if pair == "pair7" else random_cnot_pair(np.random.default_rng(15), 15)
+    model = ErrorModel(*f)
+    samples, seed, jobs = repeater.MC_CHUNK_ROWS + 3, 4242, 3
+    counts = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
+    assert np.array_equal(counts, dense_reference_counts(qa, qb, model, samples, seed, jobs))
+
+
+def test_montecarlo_spawns_no_stream_past_samples(pair7_a, pair7_b):
+    model = ErrorModel(0.1, 0.1, 0.05)
+    repeater._mc_breakdown(pair7_a, pair7_b, model, 1, 0, 1)  # builds the decoders outside the trace
+    tracemalloc.start()
+    try:
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 20))
+    assert peak < 1 << 20
+
+
+def test_montecarlo_working_set_within_chunk_estimate():
+    # f0 = 0: every entry is a hit, the worst case for the sparse fold.
+    qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
+    model = ErrorModel(0.3, 0.3, 0.4)
+    repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
+    estimate = repeater.MC_CHUNK_ROWS * (repeater.MC_BYTES_PER_ENTRY * qa.n
+                                         + repeater.MC_BYTES_PER_ROW)
+    for samples in (repeater.MC_CHUNK_ROWS, 4 * repeater.MC_CHUNK_ROWS):
+        tracemalloc.start()
+        try:
+            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == samples
+        assert peak <= estimate, samples
+
+
 # -- perfect codes: known answers from weight enumerators -------------------------
 
 # Stabilizer weight enumerators and the radius t of the perfect classical
@@ -523,6 +583,21 @@ def test_golay_exact_and_montecarlo_match_weight_enumerator(golay):
                          samples=200_000, seed=23)
     rep = run_local_swapping(cfg)
     assert abs(rep.logical_fidelity - expected) <= 5 * rep.standard_error
+
+
+@pytest.mark.parametrize("channel", ["f1", "f2"])
+def test_single_channel_exact_propagates_one_station(golay, channel):
+    # The pair's joint image has m = 24 bits (400 MB); the reached station has 12.
+    model = ErrorModel(**{"f1": 0.0, "f2": 0.0, "f3": 0.0, channel: 0.03})
+    exact_logical_fidelity(golay, golay, ErrorModel(0.0, 0.0, 0.0))  # builds the decoders
+    tracemalloc.start()
+    try:
+        fid = exact_logical_fidelity(golay, golay, model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert fid == pytest.approx(perfect_code_fidelity("golay23", 0.03), abs=1e-12)
+    assert peak <= (repeater.EXACT_BYTES_PER_IMAGE << 12) + (1 << 20)
 
 
 def test_golay_decodes_weight3_errors_to_themselves(golay):
