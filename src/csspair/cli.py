@@ -72,23 +72,31 @@ def _load_pair(path_a: str, path_b: str) -> tuple[codes.CssCode, codes.CssCode]:
     return codes.load_css(path_a, name=path_a), codes.load_css(path_b, name=path_b)
 
 
+_GATES = {
+    "cnot": (transversality.check_cnot_transversal, transversality.oracle_cnot),
+    "cz": (transversality.check_cz_transversal, transversality.oracle_cz),
+}
+
+
+def _add_oracle(entry: dict, gate: str, rep: transversality.TransversalityReport,
+                qa: codes.CssCode, qb: codes.CssCode, detail: bool = False) -> bool:
+    """Add the gate's oracle result to entry (equal k only); False iff it disagrees with rep."""
+    if qa.k != qb.k:
+        return True
+    res = _GATES[gate][1](qa, qb)
+    entry["oracle"] = _oracle_block(res, detail)
+    entry["checker_oracle_agree"] = res.ok == rep.verdict
+    return res.ok == rep.verdict
+
+
 def _run_check(args, gate: str) -> int:
     qa, qb = _load_pair(args.code_a, args.code_b)
-    if gate == "cnot":
-        rep = transversality.check_cnot_transversal(qa, qb, mode=args.mode)
-        oracle = transversality.oracle_cnot
-    else:
-        rep = transversality.check_cz_transversal(qa, qb)
-        oracle = transversality.oracle_cz
+    rep = _GATES[gate][0](qa, qb, **({"mode": args.mode} if gate == "cnot" else {}))
     payload = rep.to_dict()
-    if gate == "cz" and getattr(args, "sufficient", False):
+    if gate == "cz" and args.sufficient:
         payload["sufficient"] = transversality.check_cz_sufficient(qa, qb).to_dict()
-    if args.oracle and qa.k == qb.k:
-        res = oracle(qa, qb)
-        payload["oracle"] = _oracle_block(res, detail=True)
-        payload["checker_oracle_agree"] = res.ok == rep.verdict
-        if res.ok != rep.verdict:
-            payload["warning"] = "checker and oracle disagree; please report this input"
+    if args.oracle and not _add_oracle(payload, gate, rep, qa, qb, detail=True):
+        payload["warning"] = "checker and oracle disagree; please report this input"
     payload["codes"] = {"a": _code_summary(qa), "b": _code_summary(qb)}
     _emit(payload, args.pretty, args.out)
     return 0 if rep.verdict else 1
@@ -99,18 +107,10 @@ def _cmd_verify(args) -> int:
     qa, qb = _load_pair(args.code_a, args.code_b)
     payload: dict = {"codes": {"a": _code_summary(qa), "b": _code_summary(qb)}}
     agree = True
-    for gate, checker, oracle in (
-        ("cnot", transversality.check_cnot_transversal, transversality.oracle_cnot),
-        ("cz", transversality.check_cz_transversal, transversality.oracle_cz),
-    ):
+    for gate, (checker, _) in _GATES.items():
         rep = checker(qa, qb)
-        entry = rep.to_dict()
-        if qa.k == qb.k:
-            res = oracle(qa, qb)
-            entry["oracle"] = _oracle_block(res)
-            entry["checker_oracle_agree"] = res.ok == rep.verdict
-            agree = agree and (res.ok == rep.verdict)
-        payload[gate] = entry
+        payload[gate] = rep.to_dict()
+        agree = _add_oracle(payload[gate], gate, rep, qa, qb) and agree
     payload["sufficient_cz"] = transversality.check_cz_sufficient(qa, qb).to_dict()
     payload["agreement"] = agree
     _emit(payload, args.pretty, args.out)

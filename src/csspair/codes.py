@@ -213,9 +213,9 @@ def _assemble(c1: ClassicalCode, c2: ClassicalCode, x_stab: BitMatrix, z_stab: B
             raise EncodingError(f"encoding has {enc_a.cols} columns, code length is {c1.n}")
         if enc_a.rows != k:
             raise EncodingError(f"encoding has {enc_a.rows} rows, logical dimension is {k}")
-        for i, row in enumerate(enc_a, start=1):
-            if not gf2.subspace_leq(BitMatrix(row), c1.gen):
-                raise EncodingError(f"encoding row {i} is not a C1 codeword")
+        outside = np.flatnonzero(~gf2.rows_in_span(enc_a, c1.gen))
+        if outside.size:
+            raise EncodingError(f"encoding row {outside[0] + 1} is not a C1 codeword")
         if gf2.rank(BitMatrix.stack(x_stab, enc_a)) != x_stab.rows + k:
             raise EncodingError("encoding rows are dependent modulo dual(C2)")
     assert enc_a.rows == k, "complement dimension must equal k1 + k2 - n"

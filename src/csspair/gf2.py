@@ -305,16 +305,17 @@ def rank(M: BitMatrix) -> int:
     return len(_Echelon(M).by_pivot)
 
 
+def rows_in_span(m_sub: BitMatrix, m_sup: BitMatrix) -> np.ndarray:
+    """Per row of m_sub, whether it lies in the row space of m_sup (one echelon of m_sup)."""
+    if m_sub.cols != m_sup.cols:
+        raise DimensionMismatchError(f"column counts differ: {m_sub.cols} vs {m_sup.cols}")
+    ech = _Echelon(m_sup)
+    return np.array([ech.reduce(word) == 0 for word in _row_words(m_sub)], dtype=bool)
+
+
 def subspace_leq(m_sub: BitMatrix, m_sup: BitMatrix) -> bool:
     """True iff every row of m_sub lies in the row space of m_sup."""
-    if m_sub.cols != m_sup.cols:
-        raise DimensionMismatchError(
-            f"column counts differ: {m_sub.cols} vs {m_sup.cols}"
-        )
-    if m_sub.rows == 0:
-        return True
-    ech = _Echelon(m_sup)
-    return not any(ech.reduce(word) for word in _row_words(m_sub))
+    return bool(rows_in_span(m_sub, m_sup).all())
 
 
 def spans_equal(m1: BitMatrix, m2: BitMatrix) -> bool:

@@ -19,6 +19,13 @@ condition A @ B^T = I.  Quantifying over whole subspaces is unneeded
 because every exponent involved is bilinear: vanishing on generators
 implies vanishing everywhere.
 
+A failing checker's witness is the first logical basis pair on which
+the gate goes wrong, read off the same GF(2) matrices whose zero tests
+are its conditions; no checker searches over logical vectors.  Logical
+vectors are listed first coordinate most significant, so the first
+input on which a linear map L is nonzero is e_j for the *last* j with
+L(e_j) != 0: every earlier input sums later unit vectors, sent to 0.
+
 Every verdict produced here can be re-derived by brute force with
 `oracle_cnot` / `oracle_cz`, which compare encode-then-gate against
 gate-then-encode on every joint basis entry of all logical basis pairs,
@@ -104,11 +111,19 @@ class OracleResult(NamedTuple):
     pairs_checked: int
 
 
-def _orthogonal(m1: BitMatrix, m2: BitMatrix) -> bool:
-    """True iff every row of m1 is orthogonal to every row of m2."""
-    if m1.rows == 0 or m2.rows == 0:
-        return True
-    return (m1 @ m2.T).is_zero()
+def _gram(m1: BitMatrix, m2: BitMatrix) -> np.ndarray:
+    """m1 @ m2^T over GF(2) as a uint8 array; an empty factor gives an empty product."""
+    return ((m1.a.astype(np.int64) @ m2.a.T.astype(np.int64)) & 1).astype(np.uint8)
+
+
+def _unit(k: int, j: int | None = None) -> tuple[int, ...]:
+    """The logical vector e_j of length k, or the zero vector when j is None."""
+    return tuple(int(i == j) for i in range(k))
+
+
+def _last(mask: np.ndarray) -> int:
+    """Index of the last True entry: the coordinate of the first input a map fails on."""
+    return int(np.flatnonzero(mask)[-1])
 
 
 def _require_same_length(qa: CssCode, qb: CssCode) -> None:
@@ -132,36 +147,32 @@ def check_cnot_transversal(qa: CssCode, qb: CssCode, mode: str = "coset") -> Tra
     containment = gf2.subspace_leq(qa.x_stab, qb.x_stab)
     conditions["C2perp_in_C4perp"] = containment
     witness: Witness | None = None
-    enc_ok = True
     if k_match:
+        # psi_a (A + B) leaves dual(C4) iff psi_a meets a row of A + B outside it.
+        inside = gf2.rows_in_span(qa.enc_a + qb.enc_a, qb.x_stab)
         if mode == "strict":
-            enc_ok = qa.enc_a == qb.enc_a
-            conditions["A_eq_B"] = enc_ok
+            conditions["A_eq_B"] = qa.enc_a == qb.enc_a
         else:
-            enc_ok = gf2.subspace_leq(qa.enc_a + qb.enc_a, qb.x_stab)
-            conditions["A_plus_B_in_C4perp"] = enc_ok
-    verdict = k_match and containment and enc_ok
-    if k_match and not verdict:
-        witness = _cnot_witness(qa, qb, containment)
+            conditions["A_plus_B_in_C4perp"] = bool(inside.all())
+    verdict = all(conditions.values())
+    if k_match and not (containment and inside.all()):  # else no physical failure
+        # A dual(C2) vector outside dual(C4) spoils every pair, psi_a = 0 first.
+        witness = (_unit(qa.k, _last(~inside) if containment else None), _unit(qa.k))
     return TransversalityReport(
         gate="CNOT", verdict=verdict, conditions=conditions, mode=mode,
         details=details, witness=witness,
     )
 
 
-def _cnot_witness(qa: CssCode, qb: CssCode, containment: bool) -> Witness | None:
-    """Smallest (psi_a, psi_b) on which the physical CNOT goes wrong."""
-    k = qa.k
-    zeros = tuple([0] * k)
-    if not containment:
-        # Any dual(C2) vector outside dual(C4) spoils every input pair.
-        return (zeros, zeros)
-    diff = qa.enc_a.a ^ qb.enc_a.a
-    for psi_a in product((0, 1), repeat=k):
-        shift = (np.array(psi_a, dtype=np.uint8) @ diff) % 2 if k else np.zeros(qa.n, dtype=np.uint8)
-        if not gf2.subspace_leq(BitMatrix(shift), qb.x_stab):
-            return (psi_a, zeros)
-    return None  # strict-mode refusal without a physical failure
+def _cz_matrices(qa: CssCode, qb: CssCode):
+    """S = x_stab_A x_stab_B^T, alpha = x_stab_B A^T, beta = x_stab_A B^T and M = A B^T + I
+    (None for unequal k): (psi_a, psi_b) fails CZ iff S != 0, alpha psi_a != 0,
+    beta psi_b != 0 or psi_a M psi_b = 1."""
+    s = _gram(qa.x_stab, qb.x_stab)
+    alpha = _gram(qb.x_stab, qa.enc_a)
+    beta = _gram(qa.x_stab, qb.enc_a)
+    m = _gram(qa.enc_a, qb.enc_a) ^ np.eye(qa.k, dtype=np.uint8) if qa.k == qb.k else None
+    return s, alpha, beta, m
 
 
 def check_cz_transversal(qa: CssCode, qb: CssCode) -> TransversalityReport:
@@ -176,36 +187,25 @@ def check_cz_transversal(qa: CssCode, qb: CssCode) -> TransversalityReport:
     details: dict = {"k_a": qa.k, "k_b": qb.k, "n": qa.n}
     k_match = qa.k == qb.k
     conditions["k_match"] = k_match
-    conditions["C2perp_orth_C4perp"] = _orthogonal(qa.x_stab, qb.x_stab)
-    conditions["A_orth_C4perp"] = _orthogonal(qa.enc_a, qb.x_stab)
-    conditions["C2perp_orth_B"] = _orthogonal(qa.x_stab, qb.enc_a)
-    if k_match and qa.k > 0:
-        conditions["ABt_is_identity"] = (qa.enc_a @ qb.enc_a.T) == BitMatrix.identity(qa.k)
-    else:
-        conditions["ABt_is_identity"] = k_match
+    s, alpha, beta, m = _cz_matrices(qa, qb)
+    conditions["C2perp_orth_C4perp"] = not s.any()
+    conditions["A_orth_C4perp"] = not alpha.any()
+    conditions["C2perp_orth_B"] = not beta.any()
+    conditions["ABt_is_identity"] = k_match and not m.any()
     verdict = all(conditions.values())
-    witness = None if verdict else _cz_witness(qa, qb) if k_match else None
+    witness: Witness | None = None
+    if k_match and not verdict:
+        k = qa.k
+        if s.any():
+            witness = (_unit(k), _unit(k))
+        elif beta.any():
+            witness = (_unit(k), _unit(k, _last(beta.any(axis=0))))
+        else:
+            i = _last(alpha.any(axis=0) | m.any(axis=1))
+            witness = (_unit(k, i), _unit(k, None if alpha[:, i].any() else _last(m[i])))
     return TransversalityReport(
         gate="CZ", verdict=verdict, conditions=conditions, details=details, witness=witness,
     )
-
-
-def _cz_witness(qa: CssCode, qb: CssCode) -> Witness | None:
-    """Smallest (psi_a, psi_b) with a phase mismatch under pairwise CZ."""
-    k = qa.k
-    stab_cross_ok = _orthogonal(qa.x_stab, qb.x_stab)
-    for psi_a in product((0, 1), repeat=k):
-        pa = np.array(psi_a, dtype=np.uint8)
-        x_a = (pa @ qa.enc_a.a) % 2 if k else np.zeros(qa.n, dtype=np.uint8)
-        bad_a = qb.x_stab.rows > 0 and np.any((qb.x_stab.a @ x_a) % 2)
-        for psi_b in product((0, 1), repeat=k):
-            pb = np.array(psi_b, dtype=np.uint8)
-            x_b = (pb @ qb.enc_a.a) % 2 if k else np.zeros(qb.n, dtype=np.uint8)
-            bad_b = qa.x_stab.rows > 0 and np.any((qa.x_stab.a @ x_b) % 2)
-            phase_bad = (int(x_a @ x_b) - int(pa @ pb)) % 2 == 1
-            if (not stab_cross_ok) or bad_a or bad_b or phase_bad:
-                return (psi_a, psi_b)
-    return None
 
 
 def check_cz_sufficient(qa: CssCode, qb: CssCode) -> TransversalityReport:
@@ -225,14 +225,12 @@ def check_cz_sufficient(qa: CssCode, qb: CssCode) -> TransversalityReport:
     details: dict = {"k_a": qa.k, "k_b": qb.k, "n": qa.n}
     k_match = qa.k == qb.k
     conditions["k_match"] = k_match
-    a_in_c4 = _orthogonal(qa.enc_a, qb.x_stab)
+    _, alpha, beta, m = _cz_matrices(qa, qb)
+    a_in_c4 = not alpha.any()
     c3_in_c2 = gf2.subspace_leq(qb.c1.gen, qa.c2.gen)
     c1_in_c4 = gf2.subspace_leq(qa.c1.gen, qb.c2.gen)
-    b_in_c2 = _orthogonal(qa.x_stab, qb.enc_a)
-    if k_match and qa.k > 0:
-        pairing = (qa.enc_a @ qb.enc_a.T) == BitMatrix.identity(qa.k)
-    else:
-        pairing = k_match
+    b_in_c2 = not beta.any()
+    pairing = k_match and not m.any()
     conditions["A_in_C4"] = a_in_c4
     conditions["C3_in_C2"] = c3_in_c2
     conditions["C1_in_C4"] = c1_in_c4
@@ -258,7 +256,7 @@ def make_mirrored_pair(g1_perp: BitMatrix, g2_perp: BitMatrix) -> tuple[CssCode,
     """
     if g1_perp.cols != g2_perp.cols:
         raise DimensionMismatchError("check matrices must share the block length")
-    if not _orthogonal(g1_perp, g2_perp):
+    if _gram(g1_perp, g2_perp).any():
         raise ContainmentError("row spaces are not mutually orthogonal; not a valid CSS pair")
     code1 = make_css_from_stabilizers(x_stab=g2_perp, z_stab=g1_perp, name="mirrored-1")
     code2 = make_css_from_stabilizers(x_stab=g1_perp, z_stab=g2_perp, name="mirrored-2")
@@ -325,12 +323,11 @@ def audit_mirror_claims(z_stab_a: BitMatrix, x_stab_a: BitMatrix,
             "Z-stabilizer space, so the pair is not mirrored (C4 != C1)"
         )
     if claimed_enc_b is not None:
-        for i, row in enumerate(claimed_enc_b, start=1):
-            if x_stab_a.rows and np.any((x_stab_a.a @ row) % 2):
-                findings.append(
-                    f"claimed representative row {i} of the second code is not orthogonal "
-                    f"to the first code's X stabilizers, so it lies outside C2 = C3"
-                )
+        for i in np.flatnonzero(_gram(claimed_enc_b, x_stab_a).any(axis=1)):
+            findings.append(
+                f"claimed representative row {i + 1} of the second code is not orthogonal "
+                f"to the first code's X stabilizers, so it lies outside C2 = C3"
+            )
     return findings
 
 

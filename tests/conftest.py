@@ -15,6 +15,8 @@ from csspair import (
     load_css,
     make_classical,
     make_css,
+    sampling,
+    with_encoding,
 )
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
@@ -105,3 +107,23 @@ def x_checked_code(n: int, r: int):
     """[[n, n - r]] code with r unit X checks and no Z checks."""
     x_checks = BitMatrix(np.eye(n, dtype=np.uint8)[:r])
     return make_css(make_classical(BitMatrix.identity(n)), ClassicalCode(dual_basis(x_checks)))
+
+
+def combine_rows(q, j: int):
+    """q with representative row j replaced by rows j + (j + 1): same code, shifted encoding."""
+    enc = q.enc_a.a.copy()
+    enc[j] ^= enc[j + 1]
+    return with_encoding(q, BitMatrix(enc))
+
+
+def late_witness_pairs(rng, n: int, k: int, j: int = 0):
+    """A random_css_code self-pair and a repaired mirrored pair, each with rows j, j + 1
+    of the second code combined.
+
+    The self-pair first fails CNOT at (e_j, 0); the mirrored pair's pairing A @ B^T
+    gains the entry (j + 1, j), so it first fails CZ at (e_(j+1), e_j).  With j = 0
+    both come late in the lexicographic order of basis pairs.
+    """
+    q = sampling.random_css_code(rng, n, k)
+    m1, m2 = sampling.random_repaired_mirrored_pair(rng, n, k)
+    return (q, combine_rows(q, j)), (m1, combine_rows(m2, j))

@@ -278,3 +278,10 @@ def test_constructors_agree_with_make_css(seed):
 def test_every_constructor_rejects_invalid_encodings(build, rows, msg):
     with pytest.raises(EncodingError, match=msg):
         build(build_pair7_a(), BitMatrix.from_strings(rows))
+
+
+def test_encoding_error_names_first_row_outside_c1():
+    q = build_pair7_a()
+    rows = [q.enc_a.row_strings()[0], "1000000", "0100000"][:q.k]
+    with pytest.raises(EncodingError, match="encoding row 2 is not a C1 codeword"):
+        with_encoding(q, BitMatrix.from_strings(rows))

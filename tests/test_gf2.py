@@ -332,3 +332,24 @@ def test_span_operands_cover_edge_cases():
     assert any(gf2.rank(m) < m.rows for m in operands)
     assert any(gf2.subspace_leq(sub, sup) and sub.rows for sub, sup in pairs)
     assert any(not gf2.subspace_leq(sub, sup) for sub, sup in pairs)
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_rows_in_span_answers_each_row(seed):
+    rng = np.random.default_rng(seed)
+    sup = BitMatrix(rng.integers(0, 2, size=(4, 9), dtype=np.uint8))
+    inside = rng.integers(0, 2, size=(3, 4), dtype=np.uint8) @ sup.a % 2
+    sub = BitMatrix(np.vstack([inside, rng.integers(0, 2, size=(3, 9), dtype=np.uint8)]))
+    answer = gf2.rows_in_span(sub, sup)
+    assert answer.dtype == bool and answer.shape == (6,)
+    assert answer.tolist() == [gf2.subspace_leq(BitMatrix(row), sup) for row in sub]
+    assert answer[:3].all()
+    assert gf2.subspace_leq(sub, sup) == answer.all()
+
+
+def test_rows_in_span_of_empty_matrices():
+    assert gf2.rows_in_span(BitMatrix.empty(3), BitMatrix.identity(3)).shape == (0,)
+    assert gf2.rows_in_span(BitMatrix([[0, 0, 0], [1, 0, 0]]), BitMatrix.empty(3)).tolist() == [
+        True, False]
+    with pytest.raises(DimensionMismatchError):
+        gf2.rows_in_span(BitMatrix([[1, 0]]), BitMatrix([[1, 0, 0]]))
