@@ -262,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--sweep", help="vary one parameter: f1=start:stop:step (CSV output)")
     p.add_argument("--jobs", type=int, default=0,
-                   help="Monte Carlo seed streams, drawn in turn; with the seed they fix the sample")
+                   help="Monte Carlo seed streams, drawn in parallel on up to one thread "
+                        "per usable core; with the seed they fix the sample")
     p.add_argument("--allow-nontransversal", action="store_true",
                    help="simulate even if the pair fails the CNOT check")
     p.set_defaults(func=_cmd_simulate)

@@ -27,7 +27,9 @@ pair; per-pair marginals are reported alongside.
 from __future__ import annotations
 
 import math
+import os
 import secrets
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from weakref import WeakKeyDictionary
@@ -49,14 +51,23 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo draws each seed stream in blocks of this many rows.  When
+# Monte Carlo workers together hold at most this many rows: each of W
+# workers draws its seed streams in blocks of MC_CHUNK_ROWS // W rows.  When
 # every entry is a hit (f0 = 0) a block's working set stays within
 # MC_BYTES_PER_ENTRY per entry (the float64 draw; at most four int64
 # vectors and two masks over the hits alive at once) plus MC_BYTES_PER_ROW
 # per row (int64 vectors over the rows hit), whatever the sample count.
-MC_CHUNK_ROWS = 1 << 16
+MC_CHUNK_ROWS = 1 << 15
 MC_BYTES_PER_ENTRY = 48
 MC_BYTES_PER_ROW = 48
+
+
+class _BadValue(ValueError):
+    """A rejected setting, naming the config keys whose values conflict."""
+
+    def __init__(self, message: str, *keys: str):
+        super().__init__(message)
+        self.keys = keys
 
 
 @dataclass
@@ -71,11 +82,12 @@ class ErrorModel:
         for name in ("f1", "f2", "f3"):
             value = getattr(self, name)
             if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite")
+                raise _BadValue(f"{name} must be finite", name)
             if value < 0:
-                raise ValueError(f"{name} must be nonnegative")
+                raise _BadValue(f"{name} must be nonnegative", name)
         if self.f1 + self.f2 + self.f3 > 1.0 + 1e-12:
-            raise ValueError("f1 + f2 + f3 must not exceed 1")
+            raise _BadValue("f1 + f2 + f3 must not exceed 1",
+                            *(name for name in ("f1", "f2", "f3") if getattr(self, name)))
 
     @property
     def weights(self) -> tuple[float, float, float, float]:
@@ -238,15 +250,16 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.qa.n != self.qb.n:
-            raise ValueError("station codes must share the block length")
+            raise _BadValue("station codes must share the block length", "codea", "codeb")
         if self.qa.k != self.qb.k:
-            raise ValueError("the protocol pairs logical qubits one-to-one; k must match")
+            raise _BadValue("the protocol pairs logical qubits one-to-one; k must match",
+                            "codea", "codeb")
         if self.mode not in ("exact", "montecarlo"):
-            raise ValueError(f"unknown mode {self.mode!r}")
+            raise _BadValue(f"unknown mode {self.mode!r}", "mode")
         if self.mode == "montecarlo" and self.samples < 1:
-            raise ValueError("montecarlo mode needs samples >= 1")
+            raise _BadValue("montecarlo mode needs samples >= 1", "samples", "mode")
         if self.jobs < 1:
-            raise ValueError("jobs must be >= 1")
+            raise _BadValue("jobs must be >= 1", "jobs")
 
 
 @dataclass
@@ -401,8 +414,10 @@ def _hit_classes(flat: np.ndarray, n: int, thresholds: tuple[float, float, float
     """
     t1, t2, t3 = thresholds
     hit = np.flatnonzero(flat >= t1)
-    x = flat[hit] >= t2
-    z = ~x | (flat[hit] >= t3)
+    v = flat[hit]
+    x = v >= t2
+    z = ~x | (v >= t3)
+    del v
     row = hit // n
     first = np.flatnonzero(np.diff(row, prepend=-1) > 0)  # each hit row's first hit
     qubit = hit - row * n
@@ -412,15 +427,30 @@ def _hit_classes(flat: np.ndarray, n: int, thresholds: tuple[float, float, float
     return class_a, class_b
 
 
+def _usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
                   seed: int, jobs: int) -> np.ndarray:
     """Joint class counts from Monte Carlo sampling.
 
     The samples are split over `jobs` seed streams, child streams of
-    the seed drawn one after another in this process.  The stream count
-    is part of what fixes the sample: results are reproducible for a
-    fixed (seed, samples, jobs) triple.  Streams past the `samples`-th
-    would draw no rows, so they are never spawned.
+    the seed.  The stream count is part of what fixes the sample:
+    results are reproducible for a fixed (seed, samples, jobs) triple.
+    Streams past the `samples`-th would draw no rows, so they are never
+    spawned.
+
+    The streams are drawn in parallel by W = min(streams, usable cores)
+    worker threads: worker t draws streams t, t + W, ... into its own
+    slice of one buffer and keeps its own counts, which are summed at
+    the end.  Integer sums do not depend on order, so the counts do not
+    depend on W.  Workers call only private functions and methods, so a
+    tracer that wraps the public functions keeps one span stack, and the
+    numpy fills and loops they run release the interpreter lock.
 
     Only the entries the channel hits (u >= f0) are decoded, and at low
     noise nearly every entry is the identity (see _hit_classes).  A row
@@ -433,22 +463,32 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
         assert dec.leaders[0] == 0 and dec.leader_class[0] == 0, "syndrome 0 must decode to class 0"
     f0, f1, f2, _ = model.weights
     thresholds = (f0, f0 + f1, f0 + f1 + f2)
-    counts = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
+    shape = (1 << qa.k, 1 << qb.k)
     streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
-    u = np.empty((min(MC_CHUNK_ROWS, base + (extra > 0)), qa.n))  # the largest block's chunk
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
-        block = base + (1 if w < extra else 0)
-        rng = np.random.default_rng(child)
-        # Row chunks consume the stream in the same order as one draw.
-        for start in range(0, block, MC_CHUNK_ROWS):
-            rows = min(MC_CHUNK_ROWS, block - start)
-            flat = rng.random(out=u[:rows]).ravel()
-            class_a, class_b = _hit_classes(flat, qa.n, thresholds, dec_a, dec_b)
-            joint = class_a * (1 << qb.k) + class_b
-            counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
-            counts[0, 0] += rows - joint.size
-    return counts
+    children = np.random.SeedSequence(seed).spawn(streams)
+    workers = min(streams, _usable_cores())
+    # One chunk per worker, sized so that all of them hold at most MC_CHUNK_ROWS rows.
+    chunk = max(1, min(MC_CHUNK_ROWS // workers, base + (extra > 0)))
+    u = np.empty((workers, chunk, qa.n))
+
+    def draw(t: int) -> np.ndarray:
+        counts = np.zeros(shape, dtype=np.int64)
+        for w in range(t, streams, workers):
+            block = base + (1 if w < extra else 0)
+            rng = np.random.default_rng(children[w])
+            # Row chunks consume the stream in the same order as one draw.
+            for start in range(0, block, chunk):
+                rows = min(chunk, block - start)
+                flat = rng.random(out=u[t, :rows]).ravel()
+                class_a, class_b = _hit_classes(flat, qa.n, thresholds, dec_a, dec_b)
+                joint = class_a * shape[1] + class_b
+                counts += np.bincount(joint, minlength=counts.size).reshape(shape)
+                counts[0, 0] += rows - joint.size
+        return counts
+
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return sum(pool.map(draw, range(workers)))
 
 
 def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
@@ -514,10 +554,13 @@ def load_config(path) -> ProtocolConfig:
     """Parse a key=value config file into a ProtocolConfig.
 
     Recognized keys: f1 f2 f3 mode samples seed codeA codeB N override
-    jobs.  Code paths are resolved relative to the config file.
+    jobs.  Code paths are resolved relative to the config file.  A bad
+    value is reported at its line; values that conflict (f1 + f2 + f3
+    above 1, say) at the last line among them.
     """
     path = Path(path)
     values: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -529,14 +572,25 @@ def load_config(path) -> ProtocolConfig:
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key.strip()!r}", line=lineno)
         values[key] = value.strip()
+        lines[key] = lineno
     for required in ("codea", "codeb"):
         if required not in values:
             raise ParseError(f"missing config key {required}", line=0)
+
+    def number(key: str, convert, default):
+        """The value of `key` through int or float, or default when the file omits it."""
+        if key not in values:
+            return default
+        try:
+            return convert(values[key])
+        except ValueError as exc:
+            raise ParseError(f"bad config value: {exc}", line=lines[key]) from exc
+
     try:
         model = ErrorModel(
-            f1=float(values.get("f1", "0")),
-            f2=float(values.get("f2", "0")),
-            f3=float(values.get("f3", "0")),
+            f1=number("f1", float, 0.0),
+            f2=number("f2", float, 0.0),
+            f3=number("f3", float, 0.0),
         )
         qa = load_css(path.parent / values["codea"])
         qb = load_css(path.parent / values["codeb"])
@@ -545,14 +599,17 @@ def load_config(path) -> ProtocolConfig:
             qb=qb,
             model=model,
             mode=values.get("mode", "exact"),
-            samples=int(values.get("samples", "0")),
-            seed=int(values["seed"]) if "seed" in values else None,
-            raw_pairs_n=int(values["n"]) if "n" in values else None,
+            samples=number("samples", int, 0),
+            seed=number("seed", int, None),
+            raw_pairs_n=number("n", int, None),
             allow_nontransversal=values.get("override", "false").lower()
             in ("1", "true", "yes"),
-            jobs=int(values.get("jobs", "1")),
+            jobs=number("jobs", int, 1),
         )
-    except (ValueError,) as exc:
-        if isinstance(exc, ParseError):
-            raise
+    except _BadValue as exc:
+        line = max(lines.get(key, 0) for key in exc.keys)
+        raise ParseError(f"bad config value: {exc}", line=line) from exc
+    except ParseError:
+        raise
+    except ValueError as exc:
         raise ParseError(f"bad config value: {exc}") from exc

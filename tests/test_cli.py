@@ -273,6 +273,25 @@ def test_simulate_nan_noise_exits_2(capsys, fixtures_dir, tmp_path):
     assert "finite" in err
 
 
+@pytest.mark.parametrize("body, line", [
+    (["jobs=0"], 2),
+    (["mode=montecarlo", "", "samples=0"], 4),
+    (["mode=montecarlo"], 2),
+    (["mode=fast"], 2),
+    (["f1=x"], 2),
+    (["f1=0.6", "# B's share", "f2=0.6", "f3=0"], 4),
+])
+def test_simulate_bad_config_value_names_its_line(capsys, fixtures_dir, tmp_path, body, line):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text("\n".join(["# a link", *body,
+                              f"codeA={fixtures_dir / 'steane.code'}",
+                              f"codeB={fixtures_dir / 'steane.code'}"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert f"line {line}: bad config value" in err
+
+
 def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):
     real = repeater.run_local_swapping
 

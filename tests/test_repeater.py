@@ -1,5 +1,6 @@
 """Repeater link simulation: channel enumeration, decoding, fidelity."""
 
+import sys
 import tracemalloc
 from itertools import combinations, product
 from math import comb
@@ -507,6 +508,68 @@ def test_montecarlo_working_set_within_chunk_estimate():
         tracemalloc.start()
         try:
             counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert counts.sum() == samples
+        assert peak <= estimate, samples
+
+
+@pytest.mark.parametrize("cores", [1, 2, 3])
+def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pair7_a, pair7_b):
+    # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
+    monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
+    model = ErrorModel(0.05, 0.03, 0.01)
+    samples, seed, jobs = 5 * (2 * repeater.MC_CHUNK_ROWS + 1) + 3, 99, 5
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many more thread switches than the default
+    try:
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
+    finally:
+        sys.setswitchinterval(interval)
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, dense_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
+
+
+def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pair7_b):
+    seen = []
+
+    class SerialExecutor:
+        def __init__(self, max_workers):
+            seen.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(repeater, "ThreadPoolExecutor", SerialExecutor)
+    model = ErrorModel(0.1, 0.1, 0.05)
+    reference = dense_reference_counts(pair7_a, pair7_b, model, 20, 77, 20)
+    cores = repeater._usable_cores()
+    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
+    assert seen == [min(20, cores)]
+    monkeypatch.setattr(repeater, "_usable_cores", lambda: 64)
+    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
+    assert seen[-1] == 20
+
+
+def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch):
+    # Two workers, each drawing MC_CHUNK_ROWS // 2 rows at a time, with every entry a hit.
+    monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
+    qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
+    model = ErrorModel(0.3, 0.3, 0.4)
+    repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
+    estimate = repeater.MC_CHUNK_ROWS * (repeater.MC_BYTES_PER_ENTRY * qa.n
+                                         + repeater.MC_BYTES_PER_ROW)
+    for samples in (repeater.MC_CHUNK_ROWS, 4 * repeater.MC_CHUNK_ROWS):
+        tracemalloc.start()  # traces the allocations of every thread
+        try:
+            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 2)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
