@@ -24,6 +24,7 @@ from .errors import (
     DimensionMismatchError,
     EncodingError,
     ParseError,
+    SingularMatrixError,
 )
 from .gf2 import BitMatrix
 
@@ -75,9 +76,10 @@ def make_classical(gen: BitMatrix) -> ClassicalCode:
 
 
 def min_distance(code: ClassicalCode) -> int:
-    """Minimum Hamming weight over the 2^k - 1 nonzero codewords.
+    """Minimum Hamming weight over the 2^k - 1 nonzero codewords, k <= 20, memoized.
 
-    Exhaustive: requires k <= 20.  The result is memoized on the code.
+    Meet in the middle: the span of the last ceil(k/2) packed generators is XORed
+    with each sum of the others, in about 2^ceil(k/2) * ceil(n/8) bytes.
     """
     if code._d is not None:
         return code._d
@@ -87,19 +89,14 @@ def min_distance(code: ClassicalCode) -> int:
         raise CapacityError(
             f"min_distance enumerates 2^k codewords; k={code.k} exceeds {MAX_DISTANCE_DIMENSION}"
         )
-    gen = code.gen.a.astype(np.uint8)
-    best = code.n + 1
-    # Gray-code walk: flip one generator per step, track the running codeword.
-    word = np.zeros(code.n, dtype=np.uint8)
-    prev = 0
-    for i in range(1, 2**code.k):
-        gray = i ^ (i >> 1)
-        flipped = (gray ^ prev).bit_length() - 1
-        prev = gray
-        word = word ^ gen[flipped]
-        w = int(word.sum())
-        if w < best:
-            best = w
+    rows = np.packbits(code.gen.a, axis=1)
+    half = code.k // 2
+    low = gf2.span(rows[half:])
+    best = code.n
+    for i, word in enumerate(gf2.span(rows[:half])):
+        weights = np.bitwise_count(low ^ word).sum(axis=1)
+        # Entry 0 of the first sum is the zero codeword.
+        best = min(best, int((weights[1:] if i == 0 else weights).min()))
     code._d = best
     return best
 
@@ -242,20 +239,13 @@ def logical_z_representatives(q: CssCode) -> BitMatrix:
     stabilizers, so residual Z operators can be classified by pairing
     against enc_a and residual X operators by pairing against L.
     """
-    k = q.k
-    if k == 0:
+    if q.k == 0:
         return BitMatrix.empty(q.n)
-    c2_basis = q.c2.gen
-    k2 = c2_basis.rows
-    # Solve coeffs @ pairing = I_k for all k targets in one elimination of
-    # [pairing^T | I_k], free coordinates set to zero.
-    pairing = c2_basis @ q.enc_a.T  # k2 x k
-    R, pivots, _ = gf2.rref(BitMatrix(np.hstack([pairing.a.T, np.eye(k, dtype=np.uint8)])))
-    if pivots[-1] >= k2:
-        raise EncodingError("logical pairing is degenerate; encoding matrix is invalid")
-    coeffs = np.zeros((k, k2), dtype=np.uint8)
-    coeffs[:, list(pivots)] = R.a[:, k2:].T
-    return BitMatrix((coeffs @ c2_basis.a) % 2)
+    try:
+        w = gf2.right_identity_transform(q.c2.gen @ q.enc_a.T)
+    except (DimensionMismatchError, SingularMatrixError) as exc:
+        raise EncodingError("logical pairing is degenerate; encoding matrix is invalid") from exc
+    return w @ q.c2.gen
 
 
 def css_distance(q: CssCode) -> int:
@@ -297,7 +287,7 @@ def parse_css_text(text: str, name: str = "") -> CssCode:
         raise ParseError(f"unexpected content {stripped!r} (want a [SECTION] header)", line=i + 1)
     for required in ("C1", "C2"):
         if required not in sections:
-            raise ParseError(f"missing required section [{required}]", line=len(lines))
+            raise ParseError(f"missing required section [{required}]", line=len(lines) or None)
     c1 = make_classical(sections["C1"])
     c2 = make_classical(sections["C2"])
     return make_css(c1, c2, enc_a=sections.get("A"), name=name)

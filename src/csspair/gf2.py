@@ -11,10 +11,9 @@ the leftmost column); storage is 0-indexed.
 
 All elimination runs on one incremental echelon basis over int
 bitmasks.  Span questions (rank, containment, independence modulo a
-subspace, complements) read it directly; `rref` back-substitutes it
-into reduced form for the callers that need the reduced matrix:
-`dual_basis`, `solve_row`, `right_identity_transform` and
-`codes.logical_z_representatives`.
+subspace, complements) and the solves read it directly, the solved
+rows carrying their coefficients as tag bits.  `rref` back-substitutes
+it into reduced form for `dual_basis`; `span` lists all XOR-sums.
 """
 
 from __future__ import annotations
@@ -163,7 +162,7 @@ def parse_matrix_lines(lines: Sequence[str], start: int) -> tuple[BitMatrix, int
     while i < n_lines and (not lines[i].strip() or lines[i].lstrip().startswith("#")):
         i += 1
     if i >= n_lines:
-        raise ParseError("missing matrix header", line=n_lines)
+        raise ParseError("missing matrix header", line=n_lines or None)
     header = lines[i].split()
     if len(header) != 2 or not all(tok.isdigit() for tok in header):
         raise ParseError(f"bad matrix header {lines[i]!r} (want 'ROWS COLS')", line=i + 1)
@@ -233,14 +232,26 @@ def _word_rows(words: list[int], cols: int) -> np.ndarray:
     """Inverse of _row_words: int bitmasks back to a len(words) x cols array."""
     nbytes = (cols + 7) // 8
     buf = b"".join((word << (8 * nbytes - cols)).to_bytes(nbytes, "big") for word in words)
-    return np.unpackbits(np.frombuffer(buf, np.uint8).reshape(-1, nbytes), axis=1)[:, :cols]
+    return np.unpackbits(np.frombuffer(buf, np.uint8).reshape(len(words), nbytes), axis=1)[:, :cols]
+
+
+def span(words) -> np.ndarray:
+    """All 2^r XOR-sums of r packed rows, `words` of shape (r, ...) and any integer dtype:
+    entry i sums the rows whose bits spell i, the first row most significant."""
+    words = np.asarray(words)
+    out = np.zeros((1 << len(words),) + words.shape[1:], dtype=words.dtype)
+    for j, word in enumerate(words[::-1]):
+        np.bitwise_xor(out[:1 << j], word, out=out[1 << j:2 << j])
+    return out
 
 
 class _Echelon:
-    """Incremental echelon basis over int bitmasks (column 1 = MSB)."""
+    """Incremental echelon basis over int bitmasks (column 1 = MSB).  Words may carry
+    `tag_bits` low tag bits below their data; a word joins only if its data survives."""
 
-    def __init__(self, seed: BitMatrix | None = None):
+    def __init__(self, seed: BitMatrix | None = None, tag_bits: int = 0):
         self.by_pivot: dict[int, int] = {}
+        self.tag_bits = tag_bits
         if seed is not None:
             for word in _row_words(seed):
                 self.add(word)
@@ -257,7 +268,7 @@ class _Echelon:
     def add(self, word: int) -> bool:
         """Insert after reduction; returns True if the span grew."""
         red = self.reduce(word)
-        if red == 0:
+        if red >> self.tag_bits == 0:
             return False
         self.by_pivot[red.bit_length() - 1] = red
         return True
@@ -344,19 +355,27 @@ def complement_basis(m_sub: BitMatrix, m_sup: BitMatrix) -> BitMatrix:
     return independent_rows(m_sup, modulo=m_sub)
 
 
-def right_identity_transform(U: BitMatrix) -> BitMatrix:
-    """W such that W @ U = I over GF(2), for square invertible U.
+def _solve(M: BitMatrix, targets: BitMatrix) -> np.ndarray | None:
+    """C with C @ M = targets, or None if a target is outside the row space.  Row i of M
+    carries its unit tag in M.rows low bits; only rows independent of the earlier ones
+    join, so a reduced target's tag combines them alone: free coordinates are zero."""
+    r = M.rows
+    ech = _Echelon(tag_bits=r)
+    for i, word in enumerate(_row_words(M)):
+        ech.add(word << r | 1 << (r - 1 - i))
+    tags = [ech.reduce(word << r) for word in _row_words(targets)]
+    return None if any(tag >> r for tag in tags) else _word_rows(tags, r)
 
-    Raises SingularMatrixError when rank(U) < k.  Found by Gaussian
-    elimination on [U | I].
-    """
-    if U.rows != U.cols:
-        raise DimensionMismatchError(f"need a square matrix, got {U.rows}x{U.cols}")
-    k = U.rows
-    R, pivots, _ = rref(BitMatrix(np.hstack([U.a, np.eye(k, dtype=np.uint8)])))
-    if pivots[:k] != tuple(range(k)):
-        raise SingularMatrixError(f"matrix of size {k} has GF(2) rank {rank(U)} < {k}")
-    return BitMatrix(R.a[:k, k:].copy())
+
+def right_identity_transform(U: BitMatrix) -> BitMatrix:
+    """W with W @ U = I over GF(2), for U with independent columns: row i solves
+    w @ U = e_i, free coordinates zero.  SingularMatrixError when rank(U) < U.cols."""
+    if U.rows < U.cols:
+        raise DimensionMismatchError(f"need at least as many rows as columns, got {U.rows}x{U.cols}")
+    coeffs = _solve(U, BitMatrix.identity(U.cols))
+    if coeffs is None:
+        raise SingularMatrixError(f"{U.rows}x{U.cols} matrix has GF(2) rank {rank(U)} < {U.cols}")
+    return BitMatrix(coeffs)
 
 
 def solve_row(M: BitMatrix, target) -> np.ndarray | None:
@@ -368,13 +387,8 @@ def solve_row(M: BitMatrix, target) -> np.ndarray | None:
     t = np.asarray(target, dtype=np.uint8).ravel()
     if t.size != M.cols:
         raise DimensionMismatchError("target length must equal the column count")
-    # Solve M^T x = t^T by eliminating on the augmented system.
-    R, pivots, rk = rref(BitMatrix(np.hstack([M.a.T, t.reshape(-1, 1)])))
-    if rk and pivots[-1] == M.rows:  # pivot in the augmented column: inconsistent
-        return None
-    coeffs = np.zeros(M.rows, dtype=np.uint8)
-    coeffs[list(pivots)] = R.a[:rk, M.rows]
-    return coeffs
+    coeffs = _solve(M, BitMatrix(t))
+    return None if coeffs is None else coeffs[0]
 
 
 def rowspace_intersection(m1: BitMatrix, m2: BitMatrix) -> BitMatrix:

@@ -175,10 +175,7 @@ class _SyndromeDecoder:
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(syndrome, residual class) for every error int 0..2^n-1: a test reference."""
-        images = np.zeros(1, dtype=np.int64)
-        for column in self.columns[::-1]:
-            images = np.concatenate([images, images ^ column])
-        return self.residual(images)
+        return self.residual(gf2.span(self.columns))
 
 
 _decoder_cache: "WeakKeyDictionary[CssCode, dict]" = WeakKeyDictionary()
@@ -561,6 +558,7 @@ def load_config(path) -> ProtocolConfig:
     path = Path(path)
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
+    texts: dict[str, str] = {}
     for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -573,9 +571,10 @@ def load_config(path) -> ProtocolConfig:
             raise ParseError(f"unknown config key {key.strip()!r}", line=lineno)
         values[key] = value.strip()
         lines[key] = lineno
+        texts[key] = line
     for required in ("codea", "codeb"):
         if required not in values:
-            raise ParseError(f"missing config key {required}", line=0)
+            raise ParseError(f"missing config key {required}")
 
     def number(key: str, convert, default):
         """The value of `key` through int or float, or default when the file omits it."""
@@ -586,17 +585,23 @@ def load_config(path) -> ProtocolConfig:
         except ValueError as exc:
             raise ParseError(f"bad config value: {exc}", line=lines[key]) from exc
 
+    def code(key: str) -> CssCode:
+        """The code file `key` names; its errors name the file and the key's line."""
+        try:
+            return load_css(path.parent / values[key])
+        except ValueError as exc:
+            sep = " " if getattr(exc, "line", None) else ": "
+            raise ParseError(f"{texts[key]}: {values[key]}{sep}{exc}", line=lines[key]) from exc
+
     try:
         model = ErrorModel(
             f1=number("f1", float, 0.0),
             f2=number("f2", float, 0.0),
             f3=number("f3", float, 0.0),
         )
-        qa = load_css(path.parent / values["codea"])
-        qb = load_css(path.parent / values["codeb"])
         return ProtocolConfig(
-            qa=qa,
-            qb=qb,
+            qa=code("codea"),
+            qb=code("codeb"),
             model=model,
             mode=values.get("mode", "exact"),
             samples=number("samples", int, 0),
@@ -608,8 +613,4 @@ def load_config(path) -> ProtocolConfig:
         )
     except _BadValue as exc:
         line = max(lines.get(key, 0) for key in exc.keys)
-        raise ParseError(f"bad config value: {exc}", line=line) from exc
-    except ParseError:
-        raise
-    except ValueError as exc:
-        raise ParseError(f"bad config value: {exc}") from exc
+        raise ParseError(f"bad config value: {exc}", line=line or None) from exc

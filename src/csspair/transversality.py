@@ -348,23 +348,15 @@ def _oracle_precheck(qa: CssCode, qb: CssCode) -> None:
                             f"the limit is 2^{_ORACLE_MAX_ENTRY_BITS}")
 
 
-def _span_words(rows: BitMatrix) -> np.ndarray:
-    """All 2^r sums of the r rows as uint64 words; entry i sums the rows whose
-    bits spell i, first row most significant (so i indexes `logical_kets`)."""
-    words = np.zeros(1, dtype=np.uint64)
-    for row in reversed(rows.a):
-        words = np.concatenate([words, words ^ np.uint64(gf2.vector_to_int(row))])
-    return words
-
-
 def _coset_supports(q: CssCode) -> tuple[np.ndarray, np.floating]:
     """Supports of q's 2^k encoded basis kets, row i sorted, and their common amplitude.
 
     Ket i is uniform over the coset x_i + span(x_stab), x_i the sum of
     the enc_a rows that logical vector i selects.
     """
-    stab = _span_words(q.x_stab)
-    supports = _span_words(q.enc_a)[:, None] ^ stab
+    stab, reps = (gf2.span(np.array([gf2.vector_to_int(row) for row in m], dtype=np.uint64))
+                  for m in (q.x_stab, q.enc_a))
+    supports = reps[:, None] ^ stab
     supports.sort(axis=1)
     return supports, 1.0 / np.sqrt(stab.size)
 

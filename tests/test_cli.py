@@ -302,3 +302,31 @@ def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):
     code, out, _ = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"))
     assert code == 2
     assert "NaN" not in out
+
+
+@pytest.mark.parametrize("body, where", [
+    ("[C1]\n1 3\n111\njunk\n", "bad.code line 4: unexpected content 'junk'"),
+    ("[C1]\n1 3\n100\n[C2]\n1 3\n100\n", "bad.code: not a CSS pair"),
+    ("", "bad.code: missing required section [C1]"),
+    ("# nothing here\n", "bad.code line 1: missing required section [C1]"),
+])
+def test_simulate_bad_code_file_names_file_and_config_line(capsys, fixtures_dir, tmp_path,
+                                                           body, where):
+    (tmp_path / "bad.code").write_text(body)
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("\n".join(["# a link", "f1=0.01", "", f"codeA={fixtures_dir / 'steane.code'}",
+                              "", "codeB=bad.code"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: line 6: codeB=bad.code: {where}")
+
+
+@pytest.mark.parametrize("body", [[], ["codeA=steane.code"], ["f1=0.01", "codeB=steane.code"]])
+def test_simulate_missing_code_key_gives_no_line(capsys, fixtures_dir, tmp_path, body):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("\n".join(body) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: missing config key code")

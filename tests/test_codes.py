@@ -1,5 +1,6 @@
 """Classical and CSS code construction, distances, stabilizers, file I/O."""
 
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -74,12 +75,36 @@ def test_min_distance_full_space():
     assert min_distance(make_classical(BitMatrix.identity(5))) == 1
 
 
-@pytest.mark.parametrize("seed", range(4))
+# Generator shapes (k, n) per seed; the last three cross the byte boundary of packed rows.
+BRUTE_FORCE_SHAPES = [(3, 6)] * 4 + [(5, 9), (8, 12), (12, 12)]
+
+
+@pytest.mark.parametrize("seed", range(len(BRUTE_FORCE_SHAPES)))
 def test_min_distance_matches_brute_force(seed):
     rng = np.random.default_rng(400 + seed)
-    m = BitMatrix(rng.integers(0, 2, size=(3, 6), dtype=np.uint8))
+    m = BitMatrix(rng.integers(0, 2, size=BRUTE_FORCE_SHAPES[seed], dtype=np.uint8))
     code = make_classical(m)
     assert min_distance(code) == brute_force_distance(code)
+
+
+def test_min_distance_twenty_mixed_repetition_blocks():
+    """Twenty [10,1,10] blocks mixed by an invertible W: d = 10, in well under 1 MiB."""
+    rng = np.random.default_rng(2020)
+    while True:
+        w = BitMatrix(rng.integers(0, 2, size=(20, 20), dtype=np.uint8))
+        if gf2.rank(w) == 20:
+            break
+    blocks = BitMatrix(np.kron(np.eye(20, dtype=np.uint8), np.ones((1, 10), dtype=np.uint8)))
+    code = ClassicalCode(w @ blocks)
+    assert (code.k, code.n) == (20, 200)
+    tracemalloc.start()
+    try:
+        d = min_distance(code)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert d == 10
+    assert peak < 1 << 20
 
 
 def test_min_distance_capacity():

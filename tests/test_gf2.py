@@ -209,6 +209,54 @@ def test_solve_row_membership():
     assert gf2.solve_row(m, [0, 0, 0, 1]) is None
 
 
+@pytest.mark.parametrize("seed", range(5))
+def test_right_identity_transform_tall(seed):
+    """W @ U = I on a tall U, row i equal to the free-coordinates-zero solve of e_i."""
+    rng = np.random.default_rng(310 + seed)
+    while True:
+        u = BitMatrix(rng.integers(0, 2, size=(4 + seed, 3), dtype=np.uint8))
+        if gf2.rank(u) == 3:
+            break
+    w = gf2.right_identity_transform(u)
+    assert (w.rows, w.cols) == (3, u.rows)
+    assert (w @ u) == BitMatrix.identity(3)
+    for row, target in zip(w, np.eye(3, dtype=np.uint8)):
+        assert np.array_equal(row, gf2.solve_row(u, target))
+
+
+def test_right_identity_transform_wide_is_a_dimension_error():
+    with pytest.raises(DimensionMismatchError):
+        gf2.right_identity_transform(BitMatrix.from_strings(["110", "011"]))
+
+
+def test_right_identity_transform_tall_with_dependent_columns():
+    with pytest.raises(SingularMatrixError):
+        gf2.right_identity_transform(BitMatrix.from_strings(["110", "011", "101", "000"]))
+
+
+def test_solve_row_on_zero_rows():
+    empty = BitMatrix.empty(4)
+    coeffs = gf2.solve_row(empty, [0, 0, 0, 0])
+    assert coeffs is not None and coeffs.shape == (0,)
+    assert gf2.solve_row(empty, [0, 1, 0, 0]) is None
+
+
+@pytest.mark.parametrize("dtype, shape", [(np.int64, ()), (np.uint64, ()), (np.uint8, (3,))])
+def test_span_lists_every_subset_sum(dtype, shape):
+    """Entry i of span(rows) XORs the rows whose bits spell i, first row most significant."""
+    rng = np.random.default_rng(5)
+    for r in range(5):
+        words = rng.integers(0, 256, size=(r, *shape)).astype(dtype)
+        out = gf2.span(words)
+        assert out.dtype == dtype and out.shape == (2**r, *shape)
+        for i in range(2**r):
+            want = np.zeros(shape, dtype=dtype)
+            for j in range(r):
+                if i >> (r - 1 - j) & 1:
+                    want = want ^ words[j]
+            assert np.array_equal(out[i], want)
+
+
 def test_vector_int_round_trip():
     vec = np.array([1, 0, 1, 1, 0], dtype=np.uint8)
     assert gf2.vector_to_int(vec) == 0b10110

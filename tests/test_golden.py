@@ -1,10 +1,15 @@
-"""Checker reports on a fixed corpus of pairs, byte for byte against a committed file.
+"""Checker reports and GF(2) outputs on a fixed corpus, byte for byte against committed files.
 
 Every report field (verdict, conditions, details, witness) of the CNOT
 checker in both modes, the CZ checker and the CZ sufficient-condition
 checker is pinned for about 60 pairs: the bundled fixtures, the mirrored
 fixture pair, seeded `random_valid_pair` draws at n = 4-10 and the
-late-witness pairs.  After an intended report change, regenerate with
+late-witness pairs.  A second file pins the GF(2) answers the reports
+rest on: per distinct code of that corpus its logical Z representatives,
+the duals of its stabilizer matrices and the distances of C1 and C2; per
+mirrored pair the right identity transform of its pairing; and
+`solve_row` on seeded draws, out-of-span targets and 0-row matrices
+included.  After an intended change, regenerate both with
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -15,19 +20,27 @@ from pathlib import Path
 import numpy as np
 
 from csspair import (
+    BitMatrix,
     check_cnot_transversal,
     check_cz_sufficient,
     check_cz_transversal,
+    dual_basis,
+    gf2,
     load_css,
     load_matrix,
+    logical_z_representatives,
     make_mirrored_pair,
+    min_distance,
     repair_mirrored_encodings,
     sampling,
 )
+from csspair.codes import css_to_text
+from csspair.transversality import is_mirrored_pair
 
 from conftest import FIXTURES, late_witness_pairs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "checker_reports.json"
+GF2_GOLDEN = GOLDEN.parent / "gf2_outputs.json"
 
 
 def golden_corpus() -> list[tuple[str, object, object]]:
@@ -67,8 +80,60 @@ def golden_text() -> str:
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
+def _solve_row_draws() -> list[tuple[BitMatrix, np.ndarray]]:
+    """Seeded (M, t): t in the row space, t random (often outside it), and 0-row M."""
+    rng = np.random.default_rng(1111)
+    draws = []
+    for _ in range(80):
+        rows, cols = int(rng.integers(0, 8)), int(rng.integers(1, 10))
+        m = BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8), cols=cols)
+        coeffs = rng.integers(0, 2, size=rows, dtype=np.uint8)
+        draws.append((m, (coeffs.astype(np.int64) @ m.a) % 2))
+        draws.append((m, rng.integers(0, 2, size=cols, dtype=np.uint8)))
+    for cols in (1, 4):
+        draws.append((BitMatrix.empty(cols), np.zeros(cols, dtype=np.uint8)))
+        draws.append((BitMatrix.empty(cols), np.eye(cols, dtype=np.uint8)[-1]))
+    return draws
+
+
+def _bits(vec) -> str:
+    return "".join(str(int(b)) for b in vec)
+
+
+def gf2_golden_text() -> str:
+    """One JSON object per line, inside a JSON list."""
+    records, seen = [], set()
+    for label, qa, qb in golden_corpus():
+        for side, q in (("a", qa), ("b", qb)):
+            key = css_to_text(q)
+            if key in seen:
+                continue
+            seen.add(key)
+            records.append({
+                "code": f"{label} {side}",
+                "logical_z": logical_z_representatives(q).row_strings(),
+                "dual_x_stab": dual_basis(q.x_stab).row_strings(),
+                "dual_z_stab": dual_basis(q.z_stab).row_strings(),
+                "d1": min_distance(q.c1) if q.c1.k else None,
+                "d2": min_distance(q.c2) if q.c2.k else None,
+            })
+        if qa.k and is_mirrored_pair(qa, qb):
+            transform = gf2.right_identity_transform(qa.enc_a @ qb.enc_a.T)
+            records.append({"mirrored_pair": label, "transform": transform.row_strings()})
+    for m, target in _solve_row_draws():
+        coeffs = gf2.solve_row(m, target)
+        records.append({"solve_row": m.row_strings(), "cols": m.cols, "target": _bits(target),
+                        "coeffs": None if coeffs is None else _bits(coeffs)})
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
 def test_checker_reports_match_golden():
     assert golden_text().encode("utf-8") == GOLDEN.read_bytes()
+
+
+def test_gf2_outputs_match_golden():
+    assert gf2_golden_text().encode("utf-8") == GF2_GOLDEN.read_bytes()
 
 
 def test_golden_corpus_has_late_witnesses():
@@ -85,3 +150,4 @@ def test_golden_corpus_has_late_witnesses():
 if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(golden_text(), encoding="utf-8")
+    GF2_GOLDEN.write_text(gf2_golden_text(), encoding="utf-8")
