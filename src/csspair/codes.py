@@ -267,27 +267,23 @@ def parse_css_text(text: str, name: str = "") -> CssCode:
     Each section holds one matrix in the text format of gf2.  Comments
     (# ...) and blank lines are allowed anywhere.
     """
-    lines = text.splitlines()
+    lines = gf2.content_lines(text)
+    last = len(text.splitlines())
     sections: dict[str, BitMatrix] = {}
     i = 0
     while i < len(lines):
-        stripped = lines[i].strip()
-        if not stripped or stripped.startswith("#"):
-            i += 1
-            continue
-        if stripped.startswith("[") and stripped.endswith("]"):
-            tag = stripped[1:-1].strip().upper()
-            if tag not in {"C1", "C2", "A"}:
-                raise ParseError(f"unknown section [{tag}]", line=i + 1)
-            if tag in sections:
-                raise ParseError(f"duplicate section [{tag}]", line=i + 1)
-            mat, i = gf2.parse_matrix_lines(lines, i + 1)
-            sections[tag] = mat
-            continue
-        raise ParseError(f"unexpected content {stripped!r} (want a [SECTION] header)", line=i + 1)
+        lineno, content = lines[i]
+        if not (content.startswith("[") and content.endswith("]")):
+            raise ParseError(f"unexpected content {content!r} (want a [SECTION] header)", line=lineno)
+        tag = content[1:-1].strip().upper()
+        if tag not in {"C1", "C2", "A"}:
+            raise ParseError(f"unknown section [{tag}]", line=lineno)
+        if tag in sections:
+            raise ParseError(f"duplicate section [{tag}]", line=lineno)
+        sections[tag], i = gf2.parse_matrix_lines(lines, i + 1, last)
     for required in ("C1", "C2"):
         if required not in sections:
-            raise ParseError(f"missing required section [{required}]", line=len(lines) or None)
+            raise ParseError(f"missing required section [{required}]", line=last or None)
     c1 = make_classical(sections["C1"])
     c2 = make_classical(sections["C2"])
     return make_css(c1, c2, enc_a=sections.get("A"), name=name)
@@ -306,8 +302,9 @@ def css_to_text(q: CssCode, header: str = "") -> str:
 
 
 def load_css(path, name: str = "") -> CssCode:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_css_text(fh.read(), name=name or str(path))
+    """The code in file `path`, named `name` or the path; its errors lead with that name."""
+    name = name or str(path)
+    return gf2._parse_file(path, lambda text: parse_css_text(text, name=name), name)
 
 
 def save_css(q: CssCode, path, header: str = "") -> None:

@@ -7,7 +7,10 @@ transversality layers are built on.  The intended regime is small block
 lengths (n up to a few tens); everything is exact, nothing is sparse.
 
 Vectors are 1-indexed in documentation and error messages (qubit 1 is
-the leftmost column); storage is 0-indexed.
+the leftmost column); storage is 0-indexed.  Packed, a row is an int word
+with column 1 most significant; the packbits pair `_row_words` and
+`_word_rows` packs matrices and vectors alike.  Matrix, code and config
+files share one line scanner, `content_lines`.
 
 All elimination runs on one incremental echelon basis over int
 bitmasks.  Span questions (rank, containment, independence modulo a
@@ -145,50 +148,64 @@ class BitMatrix:
 
     @classmethod
     def from_text(cls, text: str) -> "BitMatrix":
-        mat, _ = parse_matrix_lines(text.splitlines(), start=0)
+        """The one matrix of `text`; content after its rows is a ParseError at its line."""
+        lines = content_lines(text)
+        mat, end = parse_matrix_lines(lines, 0, len(text.splitlines()))
+        if end < len(lines):
+            lineno, content = lines[end]
+            raise ParseError(f"unexpected content {content!r} after the matrix", line=lineno)
         return mat
 
 
-def parse_matrix_lines(lines: Sequence[str], start: int) -> tuple[BitMatrix, int]:
-    """Parse one matrix from a list of lines beginning at index ``start``.
+def content_lines(text: str) -> list[tuple[int, str]]:
+    """(line number from 1, stripped text) of each line that is not blank or a # comment."""
+    return [(lineno, line) for lineno, raw in enumerate(text.splitlines(), start=1)
+            if (line := raw.strip()) and not line.startswith("#")]
 
-    Grammar: optional ``#`` comment lines, then a header ``R C``, then R
-    rows of exactly C characters from {0,1}.  Returns the matrix and the
-    index one past its last consumed line.  Raises ParseError with a
-    1-based line number on malformed input.
+
+def parse_matrix_lines(lines: Sequence[tuple[int, str]], start: int,
+                       last: int) -> tuple[BitMatrix, int]:
+    """Parse one matrix from `content_lines` pairs beginning at index ``start``.
+
+    Grammar: a header ``R C``, then R rows of exactly C characters from
+    {0,1}.  Returns the matrix and the index one past its last row.
+    Raises ParseError at the offending line; a matrix the text ends
+    before is reported at `last`, the text's final line number.
     """
-    i = start
-    n_lines = len(lines)
-    while i < n_lines and (not lines[i].strip() or lines[i].lstrip().startswith("#")):
-        i += 1
-    if i >= n_lines:
-        raise ParseError("missing matrix header", line=n_lines or None)
-    header = lines[i].split()
-    if len(header) != 2 or not all(tok.isdigit() for tok in header):
-        raise ParseError(f"bad matrix header {lines[i]!r} (want 'ROWS COLS')", line=i + 1)
-    r, c = int(header[0]), int(header[1])
+    if start >= len(lines):
+        raise ParseError("missing matrix header", line=last or None)
+    lineno, header = lines[start]
+    fields = header.split()
+    if len(fields) != 2 or not all(tok.isdigit() for tok in fields):
+        raise ParseError(f"bad matrix header {header!r} (want 'ROWS COLS')", line=lineno)
+    r, c = int(fields[0]), int(fields[1])
     if c < 1:
-        raise ParseError("column count must be at least 1", line=i + 1)
-    i += 1
-    rows: list[list[int]] = []
-    while len(rows) < r:
-        while i < n_lines and (not lines[i].strip() or lines[i].lstrip().startswith("#")):
-            i += 1
-        if i >= n_lines:
-            raise ParseError(f"expected {r} matrix rows, found {len(rows)}", line=n_lines)
-        content = lines[i].strip()
-        if len(content) != c or set(content) - {"0", "1"}:
-            raise ParseError(f"bad matrix row {content!r} (want {c} characters from 0/1)", line=i + 1)
-        rows.append([int(ch) for ch in content])
-        i += 1
-    if r == 0:
-        return BitMatrix.empty(c), i
-    return BitMatrix(rows), i
+        raise ParseError("column count must be at least 1", line=lineno)
+    body = lines[start + 1:start + 1 + r]
+    for lineno, row in body:
+        if len(row) != c or set(row) - {"0", "1"}:
+            raise ParseError(f"bad matrix row {row!r} (want {c} characters from 0/1)", line=lineno)
+    if len(body) < r:
+        raise ParseError(f"expected {r} matrix rows, found {len(body)}", line=last)
+    return BitMatrix([[int(ch) for ch in row] for _, row in body], cols=c), start + 1 + r
+
+
+def _parse_file(path, parse, label=None):
+    """parse(the text of file `path`).  A ValueError it raises keeps its type and line,
+    its message led by the file as the user named it, `label` or the path:
+    'bad.mat line 3: ...', or 'bad.mat: ...' without a line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        text = fh.read()
+    try:
+        return parse(text)
+    except ValueError as exc:
+        sep = " " if getattr(exc, "line", None) else ": "
+        exc.args = (f"{label or path}{sep}{exc}",)
+        raise
 
 
 def load_matrix(path) -> BitMatrix:
-    with open(path, "r", encoding="utf-8") as fh:
-        return BitMatrix.from_text(fh.read())
+    return _parse_file(path, BitMatrix.from_text)
 
 
 def save_matrix(mat: BitMatrix, path) -> None:
@@ -201,30 +218,24 @@ def save_matrix(mat: BitMatrix, path) -> None:
 
 def vector_to_int(vec) -> int:
     """Pack a binary vector into an int, first entry most significant."""
-    out = 0
-    for b in np.asarray(vec, dtype=np.uint8).ravel():
-        out = (out << 1) | int(b)
-    return out
+    return _row_words(np.asarray(vec, dtype=np.uint8).reshape(1, -1))[0]
 
 
 def int_to_vector(value: int, n: int) -> np.ndarray:
     """Unpack an int into an n-entry binary vector, MSB first."""
-    vec = np.zeros(n, dtype=np.uint8)
-    for i in range(n - 1, -1, -1):
-        vec[i] = value & 1
-        value >>= 1
-    if value:
+    value = int(value)
+    if value >> n:
         raise ValueError("value does not fit in n bits")
-    return vec
+    return _word_rows([value], n)[0]
 
 
 # -- elimination core -----------------------------------------------------------
 
 
-def _row_words(M: BitMatrix) -> list[int]:
-    """Rows of M as int bitmasks, column 1 most significant."""
-    packed = np.packbits(M.a, axis=1)
-    pad = 8 * packed.shape[1] - M.cols
+def _row_words(rows: np.ndarray) -> list[int]:
+    """Rows of a 2-d 0/1 array as int bitmasks, column 1 most significant: one packbits call."""
+    packed = np.packbits(rows, axis=1)
+    pad = 8 * packed.shape[1] - rows.shape[1]
     return [int.from_bytes(row.tobytes(), "big") >> pad for row in packed]
 
 
@@ -253,7 +264,7 @@ class _Echelon:
         self.by_pivot: dict[int, int] = {}
         self.tag_bits = tag_bits
         if seed is not None:
-            for word in _row_words(seed):
+            for word in _row_words(seed.a):
                 self.add(word)
 
     def reduce(self, word: int) -> int:
@@ -321,7 +332,7 @@ def rows_in_span(m_sub: BitMatrix, m_sup: BitMatrix) -> np.ndarray:
     if m_sub.cols != m_sup.cols:
         raise DimensionMismatchError(f"column counts differ: {m_sub.cols} vs {m_sup.cols}")
     ech = _Echelon(m_sup)
-    return np.array([ech.reduce(word) == 0 for word in _row_words(m_sub)], dtype=bool)
+    return np.array([ech.reduce(word) == 0 for word in _row_words(m_sub.a)], dtype=bool)
 
 
 def subspace_leq(m_sub: BitMatrix, m_sup: BitMatrix) -> bool:
@@ -337,7 +348,7 @@ def independent_rows(M: BitMatrix, modulo: BitMatrix | None = None) -> BitMatrix
     """Greedy sweep keeping the original rows that are independent (mod an
     optional subspace).  Row vectors are preserved, not reduced."""
     ech = _Echelon(modulo)
-    keep = np.array([ech.add(word) for word in _row_words(M)], dtype=bool)
+    keep = np.array([ech.add(word) for word in _row_words(M.a)], dtype=bool)
     return BitMatrix(M.a[keep])
 
 
@@ -361,9 +372,9 @@ def _solve(M: BitMatrix, targets: BitMatrix) -> np.ndarray | None:
     join, so a reduced target's tag combines them alone: free coordinates are zero."""
     r = M.rows
     ech = _Echelon(tag_bits=r)
-    for i, word in enumerate(_row_words(M)):
+    for i, word in enumerate(_row_words(M.a)):
         ech.add(word << r | 1 << (r - 1 - i))
-    tags = [ech.reduce(word << r) for word in _row_words(targets)]
+    tags = [ech.reduce(word << r) for word in _row_words(targets.a)]
     return None if any(tag >> r for tag in tags) else _word_rows(tags, r)
 
 

@@ -147,9 +147,7 @@ class _SyndromeDecoder:
             raise CapacityError(f"the coset-leader search needs {need} bytes for 2^{self.r} "
                                 f"syndromes; the limit is {MAX_EXACT_BYTES}")
         self.class_mask = (1 << self.k) - 1
-        matrix = np.vstack([stab.a, pairing.a])
-        weights = 1 << np.arange(len(matrix) - 1, -1, -1, dtype=np.int64)
-        self.columns = weights @ matrix.astype(np.int64)
+        self.columns = np.array(gf2._row_words(np.vstack([stab.a, pairing.a]).T), dtype=np.int64)
         synd_cols = self.columns >> self.k
         class_cols = self.columns & self.class_mask
         self.leaders = np.full(1 << self.r, -1, dtype=np.int64)
@@ -297,48 +295,28 @@ def _class_key(k: int, za: int, xb: int) -> str:
     return f"zA={a},xB={b}"
 
 
-def _xor_axes(m: int, c: int) -> tuple[list[int], tuple[int, ...]]:
-    """Shape and axes that turn a 2^m vector p into p[i ^ c] by flipping.
-
-    XOR with c reverses the index bits under each run of set bits of c,
-    so p is reshaped to one axis per run of equal bits and the axes of
-    the set runs are flipped: a view, with no index array.
-    """
-    shape: list[int] = []
-    flips: list[int] = []
-    prev = None
-    for bit in range(m - 1, -1, -1):
-        on = (c >> bit) & 1
-        if on == prev:
-            shape[-1] *= 2
-            continue
-        if on:
-            flips.append(len(shape))
-        shape.append(2)
-        prev = on
-    return shape, tuple(flips)
-
-
 def _image_distribution(cols_a: list[int], cols_b: list[int], m: int,
                         model: ErrorModel) -> np.ndarray:
     """Distribution of the joint image of a pattern over 2^m bits.
 
     Qubit j adds a_j on a Z error at A, b_j on an X error at B and both
     on the correlated error, so each qubit updates
-    P <- f0 P + f1 P[i ^ a] + f2 P[i ^ b] + f3 P[i ^ a ^ b].  Every term
-    is nonnegative, so images no pattern reaches stay exactly 0.  At
-    most three 2^m vectors are alive at once.
+    P <- f0 P + f1 P[i ^ a] + f2 P[i ^ b] + f3 P[i ^ a ^ b].  P has one
+    axis per bit, most significant first, so P[i ^ c] is the view of P
+    flipped along c's set bits.  Every term is nonnegative, so images no
+    pattern reaches stay exactly 0.  At most three 2^m arrays are alive
+    at once; the result keeps the m axes.
     """
     f0, f1, f2, f3 = model.weights
-    p = np.zeros(1 << m)
-    p[0] = 1.0
+    p = np.zeros((2,) * m)
+    p.flat[0] = 1.0
     term = np.empty_like(p)
     for a, b in zip(cols_a, cols_b):
         nxt = p * f0
         for f, c in ((f1, a), (f2, b), (f3, a ^ b)):
             if f:
-                shape, flips = _xor_axes(m, c)
-                np.multiply(np.flip(p.reshape(shape), flips), f, out=term.reshape(shape))
+                flips = tuple(axis for axis in range(m) if c >> (m - 1 - axis) & 1)
+                np.multiply(np.flip(p, flips), f, out=term)
                 nxt += term
         p = nxt
     return p
@@ -559,10 +537,7 @@ def load_config(path) -> ProtocolConfig:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     texts: dict[str, str] = {}
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in gf2.content_lines(path.read_text(encoding="utf-8")):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
         key, _, value = line.partition("=")
@@ -588,10 +563,9 @@ def load_config(path) -> ProtocolConfig:
     def code(key: str) -> CssCode:
         """The code file `key` names; its errors name the file and the key's line."""
         try:
-            return load_css(path.parent / values[key])
+            return load_css(path.parent / values[key], name=values[key])
         except ValueError as exc:
-            sep = " " if getattr(exc, "line", None) else ": "
-            raise ParseError(f"{texts[key]}: {values[key]}{sep}{exc}", line=lines[key]) from exc
+            raise ParseError(f"{texts[key]}: {exc}", line=lines[key]) from exc
 
     try:
         model = ErrorModel(

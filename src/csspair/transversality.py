@@ -354,7 +354,7 @@ def _coset_supports(q: CssCode) -> tuple[np.ndarray, np.floating]:
     Ket i is uniform over the coset x_i + span(x_stab), x_i the sum of
     the enc_a rows that logical vector i selects.
     """
-    stab, reps = (gf2.span(np.array([gf2.vector_to_int(row) for row in m], dtype=np.uint64))
+    stab, reps = (gf2.span(np.array(gf2._row_words(m.a), dtype=np.uint64))
                   for m in (q.x_stab, q.enc_a))
     supports = reps[:, None] ^ stab
     supports.sort(axis=1)

@@ -97,6 +97,42 @@ def test_malformed_matrix_file_exits_2(capsys, tmp_path):
     assert "line" in err
 
 
+def test_distance_rejects_content_after_the_matrix(capsys, tmp_path):
+    mat = tmp_path / "rep.mat"
+    mat.write_text("1 3\n111\njunk\n")
+    code, out, err = run_cli(capsys, "distance", str(mat))
+    assert code == 2
+    assert out == ""
+    assert "line 3" in err
+
+
+@pytest.mark.parametrize("command", [["verify"], ["check-cnot", "--oracle"],
+                                     ["find-encoding", "--check"]])
+@pytest.mark.parametrize("body, where", [
+    ("[C1]\n1 3\n111\njunk\n", " line 4: unexpected content 'junk'"),
+    ("[C1]\n1 3\n100\n[C2]\n1 3\n100\n", ": not a CSS pair"),
+])
+def test_bad_second_code_file_is_named(capsys, fixtures_dir, tmp_path, command, body, where):
+    bad = tmp_path / "bad.code"
+    bad.write_text(body)
+    code, out, err = run_cli(capsys, command[0], str(fixtures_dir / "steane.code"), str(bad),
+                             *command[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}{where}")
+
+
+def test_mirror_names_bad_second_matrix(capsys, fixtures_dir, tmp_path):
+    bad = tmp_path / "bad.mat"
+    bad.write_text("# format=1\n2 7\n1100100\n11x0010\n")
+    code, out, err = run_cli(capsys, "mirror", str(fixtures_dir / "mirror7_z_checks.mat"),
+                             str(bad), "--out-dir", str(tmp_path / "out"))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad} line 4: bad matrix row '11x0010'")
+    assert not (tmp_path / "out").exists()
+
+
 def test_capacity_error_exits_3(capsys, tmp_path):
     big = tmp_path / "big.mat"
     rows = ["".join("1" if i == j else "0" for j in range(21)) for i in range(21)]

@@ -263,6 +263,24 @@ def test_vector_int_round_trip():
     assert np.array_equal(gf2.int_to_vector(0b10110, 5), vec)
 
 
+@pytest.mark.parametrize("n", [0, 1, 7, 8, 9, 63, 64, 65, 200])
+def test_vector_int_round_trip_at_byte_boundaries(n):
+    """The packers agree with a literal MSB-first sum and with _row_words row by row."""
+    rng = np.random.default_rng(n)
+    vecs = rng.integers(0, 2, size=(4, n), dtype=np.uint8)
+    vecs[0], vecs[1] = 1, 0
+    for vec, word in zip(vecs, gf2._row_words(vecs), strict=True):
+        value = sum(int(b) << (n - 1 - i) for i, b in enumerate(vec))
+        assert gf2.vector_to_int(vec) == word == value
+        out = gf2.int_to_vector(value, n)
+        assert out.dtype == np.uint8 and out.shape == (n,) and np.array_equal(out, vec)
+        if n < 63:  # numpy integers, as the decoder tables hold, unpack the same way
+            assert np.array_equal(gf2.int_to_vector(np.int64(value), n), vec)
+    for wide in (1 << n, (1 << (n + 1)) - 1, -1):
+        with pytest.raises(ValueError, match="does not fit"):
+            gf2.int_to_vector(wide, n)
+
+
 def test_rowspace_intersection():
     m1 = BitMatrix.from_strings(["1100", "0011"])
     m2 = BitMatrix.from_strings(["1100", "0101"])
@@ -288,6 +306,7 @@ def test_matrix_text_comments_allowed():
     ("2 3\n101\n", "expected 2"),
     ("1 3\n10\n", "bad matrix row"),
     ("1 3\n1a1\n", "bad matrix row"),
+    ("1 3\n111\njunk\n", "line 3: unexpected content 'junk' after the matrix"),
 ])
 def test_matrix_text_parse_errors(text, msg):
     with pytest.raises(ParseError, match=msg):

@@ -9,29 +9,37 @@ rest on: per distinct code of that corpus its logical Z representatives,
 the duals of its stabilizer matrices and the distances of C1 and C2; per
 mirrored pair the right identity transform of its pairing; and
 `solve_row` on seeded draws, out-of-span targets and 0-row matrices
-included.  After an intended change, regenerate both with
+included.  A third file pins the link reports: `run_local_swapping` on
+every equal-k pair of the corpus in exact mode at four noise models and
+once in Monte Carlo mode, and on the bundled configs.  After an
+intended change, regenerate all three with
 
     PYTHONPATH=src python tests/test_golden.py
 """
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from csspair import (
     BitMatrix,
+    ErrorModel,
+    ProtocolConfig,
     check_cnot_transversal,
     check_cz_sufficient,
     check_cz_transversal,
     dual_basis,
     gf2,
+    load_config,
     load_css,
     load_matrix,
     logical_z_representatives,
     make_mirrored_pair,
     min_distance,
     repair_mirrored_encodings,
+    run_local_swapping,
     sampling,
 )
 from csspair.codes import css_to_text
@@ -41,6 +49,9 @@ from conftest import FIXTURES, late_witness_pairs
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "checker_reports.json"
 GF2_GOLDEN = GOLDEN.parent / "gf2_outputs.json"
+LINK_GOLDEN = GOLDEN.parent / "link_reports.json"
+# (f1, f2, f3): both channels and the correlated one, f3 = 0, one channel, noiseless.
+EXACT_MODELS = [(0.02, 0.005, 0.001), (0.01, 0.01, 0.0), (0.03, 0.0, 0.0), (0.0, 0.0, 0.0)]
 
 
 def golden_corpus() -> list[tuple[str, object, object]]:
@@ -128,12 +139,36 @@ def gf2_golden_text() -> str:
     return "[\n" + ",\n".join(lines) + "\n]\n"
 
 
+def link_golden_text() -> str:
+    """One JSON object per line, inside a JSON list."""
+    records = []
+    for i, (label, qa, qb) in enumerate(golden_corpus()):
+        if qa.k != qb.k:
+            continue
+        cfg = ProtocolConfig(qa, qb, ErrorModel(0.0, 0.0, 0.0), allow_nontransversal=True)
+        for f in EXACT_MODELS:
+            report = run_local_swapping(replace(cfg, model=ErrorModel(*f)))
+            records.append({"pair": label, "model": f, "report": report.to_dict()})
+        report = run_local_swapping(replace(cfg, model=ErrorModel(0.02, 0.01, 0.005),
+                                            mode="montecarlo", samples=300, seed=i, jobs=2))
+        records.append({"pair": label, "montecarlo": True, "report": report.to_dict()})
+    for path in sorted(FIXTURES.glob("*.cfg")):
+        records.append({"config": path.name,
+                        "report": run_local_swapping(load_config(path)).to_dict()})
+    lines = [json.dumps(record, sort_keys=True) for record in records]
+    return "[\n" + ",\n".join(lines) + "\n]\n"
+
+
 def test_checker_reports_match_golden():
     assert golden_text().encode("utf-8") == GOLDEN.read_bytes()
 
 
 def test_gf2_outputs_match_golden():
     assert gf2_golden_text().encode("utf-8") == GF2_GOLDEN.read_bytes()
+
+
+def test_link_reports_match_golden():
+    assert link_golden_text().encode("utf-8") == LINK_GOLDEN.read_bytes()
 
 
 def test_golden_corpus_has_late_witnesses():
@@ -151,3 +186,4 @@ if __name__ == "__main__":
     GOLDEN.parent.mkdir(exist_ok=True)
     GOLDEN.write_text(golden_text(), encoding="utf-8")
     GF2_GOLDEN.write_text(gf2_golden_text(), encoding="utf-8")
+    LINK_GOLDEN.write_text(link_golden_text(), encoding="utf-8")
