@@ -200,11 +200,13 @@ def _assemble(c1: ClassicalCode, c2: ClassicalCode, x_stab: BitMatrix, z_stab: B
     """The CssCode of a valid CSS pair, given bases x_stab of dual(c2) and z_stab of dual(c1).
 
     Defaults or validates enc_a; both depend only on the spans of c1
-    and x_stab, so every constructor yields the same encoding.
+    and x_stab, so every constructor yields the same encoding.  The
+    callers have shown dual(c2) ⊆ c1, so the default is the complement
+    of x_stab in c1 without proving that again.
     """
     k = c1.k + c2.k - c1.n
     if enc_a is None:
-        enc_a = gf2.complement_basis(x_stab, c1.gen)
+        enc_a = gf2.independent_rows(c1.gen, modulo=x_stab)
     else:
         if enc_a.cols != c1.n:
             raise EncodingError(f"encoding has {enc_a.cols} columns, code length is {c1.n}")
@@ -213,7 +215,7 @@ def _assemble(c1: ClassicalCode, c2: ClassicalCode, x_stab: BitMatrix, z_stab: B
         outside = np.flatnonzero(~gf2.rows_in_span(enc_a, c1.gen))
         if outside.size:
             raise EncodingError(f"encoding row {outside[0] + 1} is not a C1 codeword")
-        if gf2.rank(BitMatrix.stack(x_stab, enc_a)) != x_stab.rows + k:
+        if gf2.independent_rows(enc_a, modulo=x_stab).rows != k:
             raise EncodingError("encoding rows are dependent modulo dual(C2)")
     assert enc_a.rows == k, "complement dimension must equal k1 + k2 - n"
     return CssCode(c1=c1, c2=c2, enc_a=enc_a, x_stab=x_stab, z_stab=z_stab, name=name)

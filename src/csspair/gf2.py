@@ -15,12 +15,15 @@ files share one line scanner, `content_lines`.
 All elimination runs on one incremental echelon basis over int
 bitmasks.  Span questions (rank, containment, independence modulo a
 subspace, complements) and the solves read it directly, the solved
-rows carrying their coefficients as tag bits.  `rref` back-substitutes
-it into reduced form for `dual_basis`; `span` lists all XOR-sums.
+rows carrying their coefficients as tag bits.  A matrix eliminates its
+rows once: the echelon is memoized on the BitMatrix, and callers that
+extend it work on a copy.  `rref` and `dual_basis` read one
+back-substitution of it; `span` lists all XOR-sums.
 """
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -35,10 +38,11 @@ class BitMatrix:
 
     Entries are 0/1 uint8; rows may be 0 (empty matrices are legal,
     e.g. the coset matrix of a code with no logical qubits) but there
-    is always at least one column.
+    is always at least one column.  `_ech` memoizes the echelon of the
+    rows (see `_echelon`).
     """
 
-    __slots__ = ("a",)
+    __slots__ = ("a", "_ech")
 
     def __init__(self, data, cols: int | None = None):
         arr = np.array(data, dtype=np.uint8, copy=True)
@@ -56,6 +60,17 @@ class BitMatrix:
             raise ValueError("entries must be 0 or 1")
         arr.setflags(write=False)
         self.a = arr
+        self._ech = None
+
+    @classmethod
+    def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
+        """A BitMatrix owning `arr`, a 2-d 0/1 uint8 array with at least one column
+        that gf2 has just allocated: no copy and no second validation."""
+        arr.setflags(write=False)
+        m = cls.__new__(cls)
+        m.a = arr
+        m._ech = None
+        return m
 
     # -- construction helpers -------------------------------------------------
 
@@ -83,7 +98,7 @@ class BitMatrix:
         cols = {p.cols for p in parts}
         if len(cols) != 1:
             raise DimensionMismatchError(f"cannot stack matrices with column counts {sorted(cols)}")
-        return BitMatrix(np.vstack([p.a for p in parts]))
+        return BitMatrix._wrap(np.vstack([p.a for p in parts]))
 
     # -- basic protocol --------------------------------------------------------
 
@@ -117,7 +132,7 @@ class BitMatrix:
     def __add__(self, other: "BitMatrix") -> "BitMatrix":
         if self.a.shape != other.a.shape:
             raise DimensionMismatchError("XOR requires equal shapes")
-        return BitMatrix(np.bitwise_xor(self.a, other.a))
+        return BitMatrix._wrap(np.bitwise_xor(self.a, other.a))
 
     def __matmul__(self, other: "BitMatrix") -> "BitMatrix":
         if self.cols != other.rows:
@@ -125,13 +140,14 @@ class BitMatrix:
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
         prod = (self.a.astype(np.int64) @ other.a.astype(np.int64)) % 2
-        return BitMatrix(prod.astype(np.uint8))
+        return BitMatrix._wrap(prod.astype(np.uint8))
 
     def is_zero(self) -> bool:
         return not np.any(self.a)
 
     def row_strings(self) -> list[str]:
-        return ["".join(str(b) for b in row) for row in self.a]
+        text = (self.a + ord("0")).tobytes().decode("ascii")
+        return [text[i:i + self.cols] for i in range(0, len(text), self.cols)]
 
     def __repr__(self) -> str:
         if self.rows == 0:
@@ -176,32 +192,43 @@ def parse_matrix_lines(lines: Sequence[tuple[int, str]], start: int,
         raise ParseError("missing matrix header", line=last or None)
     lineno, header = lines[start]
     fields = header.split()
-    if len(fields) != 2 or not all(tok.isdigit() for tok in fields):
+    if len(fields) != 2 or not all(tok.isascii() and tok.isdigit() for tok in fields):
         raise ParseError(f"bad matrix header {header!r} (want 'ROWS COLS')", line=lineno)
     r, c = int(fields[0]), int(fields[1])
     if c < 1:
         raise ParseError("column count must be at least 1", line=lineno)
     body = lines[start + 1:start + 1 + r]
     for lineno, row in body:
-        if len(row) != c or set(row) - {"0", "1"}:
+        if len(row) != c or row.strip("01"):
             raise ParseError(f"bad matrix row {row!r} (want {c} characters from 0/1)", line=lineno)
     if len(body) < r:
         raise ParseError(f"expected {r} matrix rows, found {len(body)}", line=last)
-    return BitMatrix([[int(ch) for ch in row] for _, row in body], cols=c), start + 1 + r
+    bits = np.frombuffer("".join(row for _, row in body).encode("ascii"), np.uint8) - ord("0")
+    return BitMatrix._wrap(bits.reshape(r, c)), start + 1 + r
 
 
 def _parse_file(path, parse, label=None):
-    """parse(the text of file `path`).  A ValueError it raises keeps its type and line,
-    its message led by the file as the user named it, `label` or the path:
+    """parse(the UTF-8 text of file `path`).  A ValueError it raises, and a ParseError
+    at the line of the first byte that is not UTF-8, keep their type and line, their
+    message led by the file as the user named it, `label` or the path:
     'bad.mat line 3: ...', or 'bad.mat: ...' without a line."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    raw = Path(path).read_bytes()
     try:
-        return parse(text)
+        return parse(_utf8(raw))
     except ValueError as exc:
         sep = " " if getattr(exc, "line", None) else ": "
         exc.args = (f"{label or path}{sep}{exc}",)
         raise
+
+
+def _utf8(raw: bytes) -> str:
+    """`raw` decoded as UTF-8; else a ParseError at the line of the first bad byte."""
+    try:
+        return raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        before = raw[:exc.start].decode("utf-8")
+        raise ParseError(f"not UTF-8 text (byte 0x{raw[exc.start]:02x})",
+                         line=len((before + "?").splitlines())) from None
 
 
 def load_matrix(path) -> BitMatrix:
@@ -258,14 +285,20 @@ def span(words) -> np.ndarray:
 
 class _Echelon:
     """Incremental echelon basis over int bitmasks (column 1 = MSB).  Words may carry
-    `tag_bits` low tag bits below their data; a word joins only if its data survives."""
+    `tag_bits` low tag bits below their data; a word joins only if its data survives.
+    `joined[i]` says whether row i of `seed` grew the basis."""
 
     def __init__(self, seed: BitMatrix | None = None, tag_bits: int = 0):
         self.by_pivot: dict[int, int] = {}
         self.tag_bits = tag_bits
-        if seed is not None:
-            for word in _row_words(seed.a):
-                self.add(word)
+        words = [] if seed is None else _row_words(seed.a)
+        self.joined = np.array([self.add(word) for word in words], dtype=bool)
+
+    def copy(self) -> "_Echelon":
+        """A basis to extend: the same span, no rows eliminated again."""
+        new = _Echelon.__new__(_Echelon)
+        new.by_pivot, new.tag_bits, new.joined = dict(self.by_pivot), self.tag_bits, self.joined
+        return new
 
     def reduce(self, word: int) -> int:
         while word:
@@ -285,14 +318,18 @@ class _Echelon:
         return True
 
 
-def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
-    """Reduced row-echelon form over GF(2).
+def _echelon(M: BitMatrix) -> _Echelon:
+    """The echelon of M's rows, eliminated on first use and memoized on M (threads that
+    race here build equal ones).  Read-only: a caller that adds words adds them to a `copy`."""
+    if M._ech is None:
+        M._ech = _Echelon(M)
+    return M._ech
 
-    Returns (R, pivot_cols, rank).  R has the same shape as M with zero
-    rows at the bottom; pivot columns are 0-indexed.  Back-substitutes
-    the echelon basis of M's rows, rightmost pivot first.
-    """
-    ech = _Echelon(M)
+
+def _reduced_words(M: BitMatrix) -> dict[int, int]:
+    """M's echelon back-substituted, rightmost pivot first: pivot bit -> reduced word,
+    each word clear at every other pivot bit."""
+    ech = _echelon(M)
     reduced: dict[int, int] = {}
     for piv in sorted(ech.by_pivot):
         word = ech.by_pivot[piv]
@@ -300,44 +337,58 @@ def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
             if word >> lower & 1:
                 word ^= row
         reduced[piv] = word
+    return reduced
+
+
+def rref(M: BitMatrix) -> tuple[BitMatrix, tuple[int, ...], int]:
+    """Reduced row-echelon form over GF(2).
+
+    Returns (R, pivot_cols, rank).  R has the same shape as M with zero
+    rows at the bottom; pivot columns are 0-indexed.
+    """
+    reduced = _reduced_words(M)
     order = sorted(reduced, reverse=True)
     R = np.zeros_like(M.a)
     R[:len(order)] = _word_rows([reduced[piv] for piv in order], M.cols)
-    return BitMatrix(R), tuple(M.cols - 1 - piv for piv in order), len(order)
+    return BitMatrix._wrap(R), tuple(M.cols - 1 - piv for piv in order), len(order)
 
 
 def dual_basis(M: BitMatrix) -> BitMatrix:
     """Basis of the null space {v : M v^T = 0}, i.e. the dual code's generator.
 
     Returns cols - rank(M) independent rows; applying dual_basis twice
-    recovers a basis of the original row space.
+    recovers a basis of the original row space.  One row per free column,
+    left to right: its unit vector, set also at each pivot column whose
+    reduced row has a 1 in that free column.
     """
-    R, pivots, rk = rref(M)
-    free = [c for c in range(M.cols) if c not in pivots]
-    out = np.zeros((len(free), M.cols), dtype=np.uint8)
-    out[np.arange(len(free)), free] = 1
-    out[:, list(pivots)] = R.a[:rk, free].T
-    return BitMatrix(out)
+    reduced = _reduced_words(M)
+    words = [1 << free | sum(1 << piv for piv, word in reduced.items() if word >> free & 1)
+             for free in range(M.cols - 1, -1, -1) if free not in reduced]
+    return BitMatrix._wrap(_word_rows(words, M.cols))
 
 
 # -- span questions --------------------------------------------------------------
 
 
 def rank(M: BitMatrix) -> int:
-    return len(_Echelon(M).by_pivot)
+    return len(_echelon(M).by_pivot)
 
 
 def rows_in_span(m_sub: BitMatrix, m_sup: BitMatrix) -> np.ndarray:
-    """Per row of m_sub, whether it lies in the row space of m_sup (one echelon of m_sup)."""
+    """Per row of m_sub, whether it lies in the row space of m_sup (read off its echelon)."""
     if m_sub.cols != m_sup.cols:
         raise DimensionMismatchError(f"column counts differ: {m_sub.cols} vs {m_sup.cols}")
-    ech = _Echelon(m_sup)
+    ech = _echelon(m_sup)
     return np.array([ech.reduce(word) == 0 for word in _row_words(m_sub.a)], dtype=bool)
 
 
 def subspace_leq(m_sub: BitMatrix, m_sup: BitMatrix) -> bool:
-    """True iff every row of m_sub lies in the row space of m_sup."""
-    return bool(rows_in_span(m_sub, m_sup).all())
+    """True iff every row of m_sub lies in the row space of m_sup: iff the echelon
+    basis of m_sub does."""
+    if m_sub.cols != m_sup.cols:
+        raise DimensionMismatchError(f"column counts differ: {m_sub.cols} vs {m_sup.cols}")
+    ech = _echelon(m_sup)
+    return all(ech.reduce(word) == 0 for word in _echelon(m_sub).by_pivot.values())
 
 
 def spans_equal(m1: BitMatrix, m2: BitMatrix) -> bool:
@@ -346,10 +397,17 @@ def spans_equal(m1: BitMatrix, m2: BitMatrix) -> bool:
 
 def independent_rows(M: BitMatrix, modulo: BitMatrix | None = None) -> BitMatrix:
     """Greedy sweep keeping the original rows that are independent (mod an
-    optional subspace).  Row vectors are preserved, not reduced."""
-    ech = _Echelon(modulo)
-    keep = np.array([ech.add(word) for word in _row_words(M.a)], dtype=bool)
-    return BitMatrix(M.a[keep])
+    optional subspace).  Row vectors are preserved, not reduced; without
+    `modulo` these are the rows that joined M's echelon, and M itself when
+    all did."""
+    if modulo is None:
+        keep = _echelon(M).joined
+        if keep.all():
+            return M
+    else:
+        ech = _echelon(modulo).copy()
+        keep = np.array([ech.add(word) for word in _row_words(M.a)], dtype=bool)
+    return BitMatrix._wrap(M.a[keep])
 
 
 def complement_basis(m_sub: BitMatrix, m_sup: BitMatrix) -> BitMatrix:

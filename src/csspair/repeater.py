@@ -537,7 +537,7 @@ def load_config(path) -> ProtocolConfig:
     values: dict[str, str] = {}
     lines: dict[str, int] = {}
     texts: dict[str, str] = {}
-    for lineno, line in gf2.content_lines(path.read_text(encoding="utf-8")):
+    for lineno, line in gf2._parse_file(path, gf2.content_lines):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
         key, _, value = line.partition("=")

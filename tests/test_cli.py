@@ -366,3 +366,33 @@ def test_simulate_missing_code_key_gives_no_line(capsys, fixtures_dir, tmp_path,
     assert code == 2
     assert out == ""
     assert err.startswith("error: missing config key code")
+
+
+
+@pytest.mark.parametrize("command", ["distance", "verify", "mirror", "simulate", "simulate-code"])
+def test_non_utf8_file_is_named_at_its_line(capsys, fixtures_dir, tmp_path, command):
+    """The undecodable file is named with the line of its first bad byte; a code file
+    a config names also gets the config key's line."""
+    mat = tmp_path / "bin.mat"
+    mat.write_bytes(b"\xff\xfe1 3\n111\n")
+    code_file = tmp_path / "bin.code"
+    code_file.write_bytes(b"[C1]\n1 3\n111\n\xe9\n")
+    steane = fixtures_dir / "steane.code"
+    bad_cfg = tmp_path / "bin.cfg"
+    bad_cfg.write_bytes(f"codeA={steane}\n# \x80\n".encode("latin-1"))
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text(f"codeA={steane}\n\ncodeB=bin.code\n")
+    argv, message = {
+        "distance": (["distance", mat], f"{mat} line 1: not UTF-8 text (byte 0xff)"),
+        "verify": (["verify", steane, code_file], f"{code_file} line 4: not UTF-8 text (byte 0xe9)"),
+        "mirror": (["mirror", fixtures_dir / "mirror7_z_checks.mat", mat, "--out-dir",
+                    tmp_path / "out"], f"{mat} line 1: not UTF-8 text (byte 0xff)"),
+        "simulate": (["simulate", bad_cfg], f"{bad_cfg} line 2: not UTF-8 text (byte 0x80)"),
+        "simulate-code": (["simulate", cfg],
+                          "line 3: codeB=bin.code: bin.code line 4: not UTF-8 text (byte 0xe9)"),
+    }[command]
+    code, out, err = run_cli(capsys, *map(str, argv))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()

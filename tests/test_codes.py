@@ -17,6 +17,7 @@ from csspair import (
     make_classical,
     make_css,
     make_css_from_stabilizers,
+    load_css,
     min_distance,
     parse_css_text,
     stabilizer_generators,
@@ -26,7 +27,7 @@ from csspair import gf2, sampling
 from csspair.codes import css_to_text, logical_kets
 from csspair.errors import CapacityError, ContainmentError, EncodingError, ParseError
 
-from conftest import HAMMING_ROWS, build_pair7_a, build_pair7_b
+from conftest import FIXTURES, HAMMING_ROWS, build_pair7_a, build_pair7_b
 
 
 def brute_force_distance(code):
@@ -310,3 +311,33 @@ def test_encoding_error_names_first_row_outside_c1():
     rows = [q.enc_a.row_strings()[0], "1000000", "0100000"][:q.k]
     with pytest.raises(EncodingError, match="encoding row 2 is not a C1 codeword"):
         with_encoding(q, BitMatrix.from_strings(rows))
+
+
+def test_a_code_load_eliminates_each_matrix_once(monkeypatch, tmp_path):
+    """C1, C2 and dual(C2) are each eliminated once: at most 3 echelons per file, with
+    or without an [A] section (the unshared load built 7), and dual(C2) <= C1 is
+    tested once."""
+    files = sorted(FIXTURES.glob("*.code"))
+    for seed in range(20):
+        rng = np.random.default_rng(700 + seed)
+        text = css_to_text(sampling.random_css_code(rng, int(rng.integers(4, 13))))
+        files.append(tmp_path / f"seeded{seed}.code")
+        files[-1].write_text(text if seed % 2 else text.split("[A]")[0])
+    built = []
+    init = gf2._Echelon.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(gf2._Echelon, "__init__", counted)
+    containment = []
+    leq = gf2.subspace_leq
+    monkeypatch.setattr(gf2, "subspace_leq", lambda *args: containment.append(1) or leq(*args))
+    for path in files:
+        built.clear()
+        containment.clear()
+        q = load_css(path)
+        assert 1 <= len(built) <= 3, (path.name, len(built))
+        assert len(containment) == 1, path.name
+        assert q.k == q.enc_a.rows

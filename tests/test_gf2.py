@@ -307,10 +307,20 @@ def test_matrix_text_comments_allowed():
     ("1 3\n10\n", "bad matrix row"),
     ("1 3\n1a1\n", "bad matrix row"),
     ("1 3\n111\njunk\n", "line 3: unexpected content 'junk' after the matrix"),
+    ("\u00b2 3\n111\n", "line 1: bad matrix header"),
 ])
 def test_matrix_text_parse_errors(text, msg):
     with pytest.raises(ParseError, match=msg):
         BitMatrix.from_text(text)
+
+
+@pytest.mark.parametrize("shape", [(0, 1), (0, 6), (1, 1), (5, 1), (3, 8), (6, 13), (2, 65)])
+def test_row_strings_match_a_per_bit_join(shape):
+    rng = np.random.default_rng(shape[0] * 100 + shape[1])
+    m = BitMatrix(rng.integers(0, 2, size=shape, dtype=np.uint8), cols=shape[1])
+    # dual_basis wraps a column slice of its unpacked words: a non-contiguous array.
+    for mat in (m, gf2.dual_basis(m)):
+        assert mat.row_strings() == ["".join(str(b) for b in row) for row in mat.a]
 
 
 def test_bitmatrix_rejects_non_binary():
@@ -420,3 +430,37 @@ def test_rows_in_span_of_empty_matrices():
         True, False]
     with pytest.raises(DimensionMismatchError):
         gf2.rows_in_span(BitMatrix([[1, 0]]), BitMatrix([[1, 0, 0]]))
+
+
+# -- the memoized echelon ----------------------------------------------------------
+
+
+def _span_answers(sub, sup):
+    """Every answer that seeds from or reads the echelon of sub or sup, in a fixed order."""
+    def complement(m_sub, m_sup):
+        try:
+            return gf2.complement_basis(m_sub, m_sup)
+        except ContainmentError:
+            return "ContainmentError"
+
+    return [
+        lambda: gf2.independent_rows(sub, modulo=sup),
+        lambda: gf2.independent_rows(sup, modulo=sub),
+        lambda: complement(sub, sup),
+        lambda: complement(sup, sub),
+        lambda: gf2.rows_in_span(sub, sup).tolist(),
+        lambda: gf2.rows_in_span(sup, sub).tolist(),
+        lambda: (gf2.rank(sub), gf2.rank(sup), gf2.independent_rows(sub), gf2.independent_rows(sup)),
+    ]
+
+
+@pytest.mark.parametrize("seed", range(60))
+@pytest.mark.parametrize("backwards", [False, True])
+def test_memoized_echelons_are_not_changed_by_their_readers(seed, backwards):
+    """Calls sharing two matrices, in either order, answer as calls on fresh copies do."""
+    sub, sup = span_operand_pairs(seed)
+    shared = _span_answers(sub, sup)
+    fresh = [_span_answers(BitMatrix(sub.a), BitMatrix(sup.a))[i]() for i in range(len(shared))]
+    order = range(len(shared))[::-1] if backwards else range(len(shared))
+    assert [shared[i]() for i in order] == [fresh[i] for i in order]
+    assert [answer() for answer in shared] == fresh
