@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -149,11 +150,18 @@ def _parse_sweep(arg: str) -> tuple[str, list[float]]:
         raise ParseError(f"bad sweep argument {arg!r} (want key=start:stop:step)") from exc
     if key not in ("f1", "f2", "f3"):
         raise ParseError(f"sweep key must be f1, f2 or f3, not {key!r}")
+    if not all(map(math.isfinite, (start, stop, step))):
+        raise ParseError(f"bad sweep argument {arg!r}: start, stop and step must be finite")
     if step <= 0:
         raise ParseError("sweep step must be positive")
+    if not (0 <= start <= 1 and 0 <= stop <= 1):
+        raise ParseError(f"bad sweep argument {arg!r}: start and stop must lie in [0, 1]")
+    top = stop + 1e-12
+    if step <= math.ulp(top) / 2:  # a value v <= top might never advance
+        raise ParseError(f"bad sweep argument {arg!r}: the step vanishes in rounding beside stop")
     values = []
     v = start
-    while v <= stop + 1e-12:
+    while v <= top:
         values.append(round(v, 12))
         v += step
     return key, values

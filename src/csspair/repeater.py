@@ -255,6 +255,8 @@ class ProtocolConfig:
             raise _BadValue("montecarlo mode needs samples >= 1", "samples", "mode")
         if self.jobs < 1:
             raise _BadValue("jobs must be >= 1", "jobs")
+        if self.seed is not None and self.seed < 0:
+            raise _BadValue("seed must be nonnegative", "seed")
 
 
 @dataclass
@@ -523,15 +525,24 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
 
 _CONFIG_KEYS = {"f1", "f2", "f3", "mode", "samples", "seed", "codea", "codeb", "n",
                 "override", "jobs"}
+_SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
+
+
+def _switch(text: str) -> bool:
+    """An on/off config value: 1/true/yes or 0/false/no, in any case."""
+    if text.lower() not in _SWITCHES:
+        raise ValueError(f"expected 1/true/yes or 0/false/no, got {text!r}")
+    return _SWITCHES[text.lower()]
 
 
 def load_config(path) -> ProtocolConfig:
     """Parse a key=value config file into a ProtocolConfig.
 
     Recognized keys: f1 f2 f3 mode samples seed codeA codeB N override
-    jobs.  Code paths are resolved relative to the config file.  A bad
-    value is reported at its line; values that conflict (f1 + f2 + f3
-    above 1, say) at the last line among them.
+    jobs.  Keys are case-blind and may appear once.  Code paths are
+    resolved relative to the config file.  A bad value is reported at
+    its line; values that conflict (f1 + f2 + f3 above 1, say) at the
+    last line among them.
     """
     path = Path(path)
     values: dict[str, str] = {}
@@ -544,6 +555,8 @@ def load_config(path) -> ProtocolConfig:
         key = key.strip().lower()
         if key not in _CONFIG_KEYS:
             raise ParseError(f"unknown config key {key.strip()!r}", line=lineno)
+        if key in values:
+            raise ParseError(f"duplicate config key {key!r}", line=lineno)
         values[key] = value.strip()
         lines[key] = lineno
         texts[key] = line
@@ -551,8 +564,8 @@ def load_config(path) -> ProtocolConfig:
         if required not in values:
             raise ParseError(f"missing config key {required}")
 
-    def number(key: str, convert, default):
-        """The value of `key` through int or float, or default when the file omits it."""
+    def parsed(key: str, convert, default):
+        """The value of `key` through `convert`, or default when the file omits it."""
         if key not in values:
             return default
         try:
@@ -569,21 +582,20 @@ def load_config(path) -> ProtocolConfig:
 
     try:
         model = ErrorModel(
-            f1=number("f1", float, 0.0),
-            f2=number("f2", float, 0.0),
-            f3=number("f3", float, 0.0),
+            f1=parsed("f1", float, 0.0),
+            f2=parsed("f2", float, 0.0),
+            f3=parsed("f3", float, 0.0),
         )
         return ProtocolConfig(
             qa=code("codea"),
             qb=code("codeb"),
             model=model,
             mode=values.get("mode", "exact"),
-            samples=number("samples", int, 0),
-            seed=number("seed", int, None),
-            raw_pairs_n=number("n", int, None),
-            allow_nontransversal=values.get("override", "false").lower()
-            in ("1", "true", "yes"),
-            jobs=number("jobs", int, 1),
+            samples=parsed("samples", int, 0),
+            seed=parsed("seed", int, None),
+            raw_pairs_n=parsed("n", int, None),
+            allow_nontransversal=parsed("override", _switch, False),
+            jobs=parsed("jobs", int, 1),
         )
     except _BadValue as exc:
         line = max(lines.get(key, 0) for key in exc.keys)

@@ -30,33 +30,37 @@ def random_full_rank(rng: np.random.Generator, rows: int, cols: int) -> BitMatri
 
 def extend_basis(rng: np.random.Generator, base: BitMatrix, extra: int) -> BitMatrix:
     """Append `extra` random rows keeping the stack full rank."""
-    out = base
-    for _ in range(extra):
-        while True:
-            row = BitMatrix(rng.integers(0, 2, size=(1, base.cols), dtype=np.uint8))
-            candidate = BitMatrix.stack(out, row) if out.rows else row
-            if gf2.rank(candidate) == candidate.rows:
-                out = candidate
-                break
-    return out
+    return BitMatrix.stack(base, _complement_rows(rng, base, extra))
 
 
-def random_invertible(rng: np.random.Generator, k: int) -> BitMatrix:
-    return random_full_rank(rng, k, k) if k else BitMatrix.empty(1)
+def _complement_rows(rng: np.random.Generator, base: BitMatrix, count: int) -> BitMatrix:
+    """The rows `extend_basis` appends: random rows drawn until `count` have joined a copy
+    of base's echelon, each independent of base and of the rows kept before it."""
+    ech = gf2._echelon(base).copy()
+    words: list[int] = []
+    while len(words) < count:
+        word = gf2._row_words(rng.integers(0, 2, size=(1, base.cols), dtype=np.uint8))[0]
+        if ech.add(word):
+            words.append(word)
+    return BitMatrix._wrap(gf2._word_rows(words, base.cols))
+
+
+def _css_from_x_checks(x_checks: BitMatrix, reps: BitMatrix) -> CssCode:
+    """The CSS code with X-check basis x_checks and representatives reps:
+    C1 = x_checks stacked over reps, C2 = dual(x_checks)."""
+    c1 = make_classical(BitMatrix.stack(x_checks, reps))
+    return make_css(c1, ClassicalCode(gf2.dual_basis(x_checks)))
 
 
 def scramble_encoding(rng: np.random.Generator, q: CssCode) -> CssCode:
     """Re-encode with W @ A + M @ x_stab for random invertible W: same code,
     different (still valid) coset representatives."""
-    k = q.k
-    if k == 0:
+    if q.k == 0:
         return q
-    w = random_invertible(rng, k)
-    enc = (w @ q.enc_a).a.copy()
+    enc = random_full_rank(rng, q.k, q.k) @ q.enc_a
     if q.x_stab.rows:
-        mix = rng.integers(0, 2, size=(k, q.x_stab.rows), dtype=np.uint8)
-        enc ^= (mix.astype(np.int64) @ q.x_stab.a.astype(np.int64) % 2).astype(np.uint8)
-    return with_encoding(q, BitMatrix(enc))
+        enc += BitMatrix(rng.integers(0, 2, size=(q.k, q.x_stab.rows), dtype=np.uint8)) @ q.x_stab
+    return with_encoding(q, enc)
 
 
 def random_css_code(rng: np.random.Generator, n: int, k: int | None = None) -> CssCode:
@@ -65,10 +69,7 @@ def random_css_code(rng: np.random.Generator, n: int, k: int | None = None) -> C
         k = int(rng.integers(1, max(2, n // 2)))
     r2 = int(rng.integers(1, n - k)) if n - k > 1 else 1
     dual_c2 = random_full_rank(rng, r2, n)
-    c1_gen = extend_basis(rng, dual_c2, k)
-    c1 = make_classical(c1_gen)
-    c2 = ClassicalCode(gf2.dual_basis(dual_c2))
-    return make_css(c1, c2)
+    return _css_from_x_checks(dual_c2, _complement_rows(rng, dual_c2, k))
 
 
 def random_cnot_pair(rng: np.random.Generator, n: int,
@@ -82,30 +83,18 @@ def random_cnot_pair(rng: np.random.Generator, n: int,
     """
     if n < 3:
         raise ValueError(f"a nested pair needs n >= 3, got n = {n}")
-    while True:
+    k = int(rng.integers(1, 3))
+    while n - k < 2:  # no room for r2 >= 1 beside k (k = 2 at n = 3): redraw k
         k = int(rng.integers(1, 3))
-        if n - k < 2:
-            continue  # no room for r2 >= 1 beside k (k = 2 at n = 3): redraw k
-        r2 = int(rng.integers(1, n - k))
-        extra = int(rng.integers(0, n - k - r2 + 1))
-        if r2 + extra + k <= n:
-            break
+    r2 = int(rng.integers(1, n - k))
+    extra = int(rng.integers(0, n - k - r2 + 1))
     dual_c2 = random_full_rank(rng, r2, n)
     dual_c4 = extend_basis(rng, dual_c2, extra)
     reps = _complement_rows(rng, dual_c4, k)
-    c1_gen = BitMatrix.stack(dual_c2, reps)
-    c3_gen = BitMatrix.stack(dual_c4, reps)
-    code_a = make_css(make_classical(c1_gen), ClassicalCode(gf2.dual_basis(dual_c2)))
-    code_b = make_css(make_classical(c3_gen), ClassicalCode(gf2.dual_basis(dual_c4)))
+    code_a, code_b = _css_from_x_checks(dual_c2, reps), _css_from_x_checks(dual_c4, reps)
     if not shared_encoding:
-        code_a = scramble_encoding(rng, code_a)
-        code_b = scramble_encoding(rng, code_b)
+        code_a, code_b = scramble_encoding(rng, code_a), scramble_encoding(rng, code_b)
     return code_a, code_b
-
-
-def _complement_rows(rng: np.random.Generator, base: BitMatrix, count: int) -> BitMatrix:
-    grown = extend_basis(rng, base, count)
-    return BitMatrix(grown.a[base.rows:].copy())
 
 
 def random_independent_pair(rng: np.random.Generator, n: int) -> tuple[CssCode, CssCode]:

@@ -131,6 +131,17 @@ def _require_same_length(qa: CssCode, qb: CssCode) -> None:
         raise DimensionMismatchError(f"block lengths differ: {qa.n} vs {qb.n}")
 
 
+def _report(gate: str, qa: CssCode, qb: CssCode, conditions: dict[str, bool],
+            verdict: bool | None = None, **fields) -> TransversalityReport:
+    """The report on (qa, qb): k_match leads the conditions, the details give both
+    logical dimensions and n, and the verdict, unless given, is the conjunction."""
+    conditions = {"k_match": qa.k == qb.k, **conditions}
+    return TransversalityReport(
+        gate=gate, verdict=all(conditions.values()) if verdict is None else verdict,
+        conditions=conditions, details={"k_a": qa.k, "k_b": qb.k, "n": qa.n}, **fields,
+    )
+
+
 def check_cnot_transversal(qa: CssCode, qb: CssCode, mode: str = "coset") -> TransversalityReport:
     """Decide whether physical pairwise CNOT (qa control, qb target) is logical CNOT.
 
@@ -140,28 +151,20 @@ def check_cnot_transversal(qa: CssCode, qb: CssCode, mode: str = "coset") -> Tra
     if mode not in ("strict", "coset"):
         raise ValueError(f"unknown mode {mode!r}")
     _require_same_length(qa, qb)
-    conditions: dict[str, bool] = {}
-    details: dict = {"k_a": qa.k, "k_b": qb.k, "n": qa.n}
-    k_match = qa.k == qb.k
-    conditions["k_match"] = k_match
     containment = gf2.subspace_leq(qa.x_stab, qb.x_stab)
-    conditions["C2perp_in_C4perp"] = containment
+    conditions = {"C2perp_in_C4perp": containment}
     witness: Witness | None = None
-    if k_match:
+    if qa.k == qb.k:
         # psi_a (A + B) leaves dual(C4) iff psi_a meets a row of A + B outside it.
         inside = gf2.rows_in_span(qa.enc_a + qb.enc_a, qb.x_stab)
         if mode == "strict":
             conditions["A_eq_B"] = qa.enc_a == qb.enc_a
         else:
             conditions["A_plus_B_in_C4perp"] = bool(inside.all())
-    verdict = all(conditions.values())
-    if k_match and not (containment and inside.all()):  # else no physical failure
-        # A dual(C2) vector outside dual(C4) spoils every pair, psi_a = 0 first.
-        witness = (_unit(qa.k, _last(~inside) if containment else None), _unit(qa.k))
-    return TransversalityReport(
-        gate="CNOT", verdict=verdict, conditions=conditions, mode=mode,
-        details=details, witness=witness,
-    )
+        if not (containment and inside.all()):  # else no physical failure
+            # A dual(C2) vector outside dual(C4) spoils every pair, psi_a = 0 first.
+            witness = (_unit(qa.k, _last(~inside) if containment else None), _unit(qa.k))
+    return _report("CNOT", qa, qb, conditions, mode=mode, witness=witness)
 
 
 def _cz_matrices(qa: CssCode, qb: CssCode):
@@ -183,18 +186,15 @@ def check_cz_transversal(qa: CssCode, qb: CssCode) -> TransversalityReport:
     other code's X-stabilizer group, and A @ B^T = I.
     """
     _require_same_length(qa, qb)
-    conditions: dict[str, bool] = {}
-    details: dict = {"k_a": qa.k, "k_b": qb.k, "n": qa.n}
-    k_match = qa.k == qb.k
-    conditions["k_match"] = k_match
     s, alpha, beta, m = _cz_matrices(qa, qb)
-    conditions["C2perp_orth_C4perp"] = not s.any()
-    conditions["A_orth_C4perp"] = not alpha.any()
-    conditions["C2perp_orth_B"] = not beta.any()
-    conditions["ABt_is_identity"] = k_match and not m.any()
-    verdict = all(conditions.values())
+    conditions = {
+        "C2perp_orth_C4perp": not s.any(),
+        "A_orth_C4perp": not alpha.any(),
+        "C2perp_orth_B": not beta.any(),
+        "ABt_is_identity": m is not None and not m.any(),
+    }
     witness: Witness | None = None
-    if k_match and not verdict:
+    if m is not None and not all(conditions.values()):
         k = qa.k
         if s.any():
             witness = (_unit(k), _unit(k))
@@ -203,9 +203,7 @@ def check_cz_transversal(qa: CssCode, qb: CssCode) -> TransversalityReport:
         else:
             i = _last(alpha.any(axis=0) | m.any(axis=1))
             witness = (_unit(k, i), _unit(k, None if alpha[:, i].any() else _last(m[i])))
-    return TransversalityReport(
-        gate="CZ", verdict=verdict, conditions=conditions, details=details, witness=witness,
-    )
+    return _report("CZ", qa, qb, conditions, witness=witness)
 
 
 def check_cz_sufficient(qa: CssCode, qb: CssCode) -> TransversalityReport:
@@ -221,29 +219,19 @@ def check_cz_sufficient(qa: CssCode, qb: CssCode) -> TransversalityReport:
     identities, and it reports which branch applies.)
     """
     _require_same_length(qa, qb)
-    conditions: dict[str, bool] = {}
-    details: dict = {"k_a": qa.k, "k_b": qb.k, "n": qa.n}
-    k_match = qa.k == qb.k
-    conditions["k_match"] = k_match
     _, alpha, beta, m = _cz_matrices(qa, qb)
-    a_in_c4 = not alpha.any()
-    c3_in_c2 = gf2.subspace_leq(qb.c1.gen, qa.c2.gen)
-    c1_in_c4 = gf2.subspace_leq(qa.c1.gen, qb.c2.gen)
-    b_in_c2 = not beta.any()
-    pairing = k_match and not m.any()
-    conditions["A_in_C4"] = a_in_c4
-    conditions["C3_in_C2"] = c3_in_c2
-    conditions["C1_in_C4"] = c1_in_c4
-    conditions["B_in_C2"] = b_in_c2
-    conditions["ABt_is_identity"] = pairing
-    branch1 = a_in_c4 and c3_in_c2 and pairing and k_match
-    branch2 = c1_in_c4 and b_in_c2 and pairing and k_match
-    conditions["sufficient_branch_1"] = branch1
-    conditions["sufficient_branch_2"] = branch2
-    return TransversalityReport(
-        gate="CZ", verdict=branch1 or branch2, conditions=conditions,
-        mode="sufficient", details=details,
-    )
+    pairing = m is not None and not m.any()
+    conditions = {
+        "A_in_C4": not alpha.any(),
+        "C3_in_C2": gf2.subspace_leq(qb.c1.gen, qa.c2.gen),
+        "C1_in_C4": gf2.subspace_leq(qa.c1.gen, qb.c2.gen),
+        "B_in_C2": not beta.any(),
+        "ABt_is_identity": pairing,
+    }
+    branch1 = conditions["A_in_C4"] and conditions["C3_in_C2"] and pairing
+    branch2 = conditions["C1_in_C4"] and conditions["B_in_C2"] and pairing
+    conditions |= {"sufficient_branch_1": branch1, "sufficient_branch_2": branch2}
+    return _report("CZ", qa, qb, conditions, verdict=branch1 or branch2, mode="sufficient")
 
 
 def make_mirrored_pair(g1_perp: BitMatrix, g2_perp: BitMatrix) -> tuple[CssCode, CssCode]:
@@ -274,7 +262,8 @@ def is_mirrored_pair(q1: CssCode, q2: CssCode) -> bool:
 def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitMatrix]:
     """Repaired encodings (A', B) with A' @ B^T = I for a mirrored pair.
 
-    The pairing U = A @ B^T of a valid mirrored pair is always
+    The two codes swap their check matrices, so they share k.  The
+    pairing U = A @ B^T of a valid mirrored pair is always
     invertible: a dependency among its rows would put a nonzero C1
     codeword orthogonal to all of C3 = C2, i.e. inside dual(C2), which
     contradicts the representatives being independent modulo dual(C2).
@@ -282,8 +271,6 @@ def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitM
     """
     if not is_mirrored_pair(q1, q2):
         raise ContainmentError("codes do not form a mirrored pair")
-    if q1.k != q2.k:
-        raise ContainmentError("mirrored codes must share the logical dimension")
     if q1.k == 0:
         return BitMatrix.empty(q1.n), BitMatrix.empty(q2.n)
     u = q1.enc_a @ q2.enc_a.T
@@ -298,11 +285,9 @@ def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitM
 
 
 def repair_mirrored_encodings(q1: CssCode, q2: CssCode) -> tuple[CssCode, CssCode]:
-    """Convenience wrapper: mirrored pair re-encoded so that A @ B^T = I."""
-    enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-    if q1.k == 0:
-        return q1, q2
-    return with_encoding(q1, enc_a), with_encoding(q2, enc_b)
+    """Convenience wrapper: mirrored pair re-encoded so that A @ B^T = I.  Only the
+    first code changes; the second keeps its encoding."""
+    return with_encoding(q1, cz_encodings_for_mirrored(q1, q2)[0]), q2
 
 
 def audit_mirror_claims(z_stab_a: BitMatrix, x_stab_a: BitMatrix,

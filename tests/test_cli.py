@@ -1,6 +1,7 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
 import json
+import resource
 import subprocess
 import sys
 from dataclasses import replace
@@ -316,6 +317,10 @@ def test_simulate_nan_noise_exits_2(capsys, fixtures_dir, tmp_path):
     (["mode=fast"], 2),
     (["f1=x"], 2),
     (["f1=0.6", "# B's share", "f2=0.6", "f3=0"], 4),
+    (["seed=-1"], 2),
+    (["mode=montecarlo", "samples=10", "seed=-1"], 4),
+    (["override=ture"], 2),
+    (["override="], 2),
 ])
 def test_simulate_bad_config_value_names_its_line(capsys, fixtures_dir, tmp_path, body, line):
     cfg = tmp_path / "bad.cfg"
@@ -326,6 +331,48 @@ def test_simulate_bad_config_value_names_its_line(capsys, fixtures_dir, tmp_path
     assert code == 2
     assert out == ""
     assert f"line {line}: bad config value" in err
+
+
+@pytest.mark.parametrize("body, key, line", [
+    (["f1=0.01", "f1=0.5", "f1=0.02"], "f1", 4),
+    (["f1=0.01", "codea=steane.code"], "codea", 4),
+])
+def test_simulate_duplicate_config_key_names_its_line(capsys, fixtures_dir, tmp_path,
+                                                      body, key, line):
+    cfg = tmp_path / "dup.cfg"
+    cfg.write_text("\n".join(["# a link", f"codeA={fixtures_dir / 'steane.code'}", *body,
+                              f"codeB={fixtures_dir / 'steane.code'}"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: line {line}: duplicate config key {key!r}\n"
+
+
+@pytest.mark.parametrize("spec, why", [
+    ("f1=-inf:0:1", "must be finite"),
+    ("f1=-1e300:0:1", "must lie in [0, 1]"),
+    ("f1=0.5:0.6:1e-17", "vanishes in rounding"),
+    ("f1=nan:1:0.5", "must be finite"),
+    ("f1=0:0.02:nan", "must be finite"),
+    # stop + step != stop here, but 0.5 + step rounds back to 0.5 (a tie, to even).
+    ("f1=0.5:0.6:5.551115123125783e-17", "vanishes in rounding"),
+    ("f1=0:1.5:0.5", "must lie in [0, 1]"),
+])
+def test_simulate_sweep_that_cannot_end_exits_2(fixtures_dir, spec, why):
+    # A child process with a timeout and a 1 GiB address space: a sweep that never
+    # ends fails this test instead of hanging the suite or filling memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "csspair", "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
+         f"--sweep={spec}"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith(f"error: bad sweep argument {spec!r}: ")
+    assert why in proc.stderr
 
 
 def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):
