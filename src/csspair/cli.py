@@ -141,6 +141,10 @@ def _cmd_mirror(args) -> int:
     return 0 if check.verdict else 1
 
 
+# A sweep of more points than this exits 3 before its point list is built.
+MAX_SWEEP_POINTS = 10**6
+
+
 def _parse_sweep(arg: str) -> tuple[str, list[float]]:
     try:
         key, _, rng = arg.partition("=")
@@ -156,9 +160,14 @@ def _parse_sweep(arg: str) -> tuple[str, list[float]]:
         raise ParseError("sweep step must be positive")
     if not (0 <= start <= 1 and 0 <= stop <= 1):
         raise ParseError(f"bad sweep argument {arg!r}: start and stop must lie in [0, 1]")
+    if start > stop:
+        raise ParseError(f"bad sweep argument {arg!r}: start must not exceed stop")
     top = stop + 1e-12
     if step <= math.ulp(top) / 2:  # a value v <= top might never advance
         raise ParseError(f"bad sweep argument {arg!r}: the step vanishes in rounding beside stop")
+    points = math.floor((top - start) / step) + 1
+    if points > MAX_SWEEP_POINTS:
+        raise CapacityError(f"sweep {arg!r} has {points} points; the limit is {MAX_SWEEP_POINTS}")
     values = []
     v = start
     while v <= top:
@@ -169,7 +178,7 @@ def _parse_sweep(arg: str) -> tuple[str, list[float]]:
 
 def _cmd_simulate(args) -> int:
     cfg = repeater.load_config(args.config)
-    if args.jobs:
+    if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
     if args.allow_nontransversal:
         cfg = replace(cfg, allow_nontransversal=True)
@@ -178,9 +187,19 @@ def _cmd_simulate(args) -> int:
         _emit(report.to_dict(), args.pretty, args.out)
         return 0
     key, values = _parse_sweep(args.sweep)
+
+    def model_at(value: float) -> repeater.ErrorModel:
+        try:
+            return replace(cfg.model, **{key: value})
+        except ValueError as exc:
+            raise ParseError(
+                f"bad sweep argument {args.sweep!r}: at {key} = {value!r}, {exc}") from exc
+
+    for value in values:  # every point's noise is checked before the first point runs
+        model_at(value)
     rows = ["f1,f2,f3,mode,samples,seed,logical_fidelity,logical_error_rate,standard_error"]
     for value in values:
-        model = replace(cfg.model, **{key: value})
+        model = model_at(value)
         report = repeater.run_local_swapping(replace(cfg, model=model))
         rows.append(
             f"{model.f1!r},{model.f2!r},{model.f3!r},{report.mode},{report.samples},"
@@ -269,7 +288,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the repeater link from a config file")
     p.add_argument("config")
     p.add_argument("--sweep", help="vary one parameter: f1=start:stop:step (CSV output)")
-    p.add_argument("--jobs", type=int, default=0,
+    p.add_argument("--jobs", type=int,
                    help="Monte Carlo seed streams, drawn in parallel on up to one thread "
                         "per usable core; with the seed they fix the sample")
     p.add_argument("--allow-nontransversal", action="store_true",

@@ -10,10 +10,13 @@ classical syndrome bookkeeping; no state vectors appear on this path
 (the statevec module independently validates the gate algebra).
 
 Each station's decoder (see _SyndromeDecoder) sees an error only
-through a linear map (its syndrome and logical-class rows), so exact
-mode never lists the 4^n error patterns: it propagates the joint
+through a linear map (its syndrome and logical-class rows), and exact
+mode, Monte Carlo mode and decode_css all read a station's residual
+class off that map's packed image through the decoder's `residual`.
+Exact mode never lists the 4^n error patterns: it propagates the joint
 distribution of both stations' images, 2^m values with m <= n + k for
-CNOT-transversal pairs, one qubit at a time.  Monte Carlo mode samples
+CNOT-transversal pairs, one qubit at a time, then folds each station's
+images onto its residual classes.  Monte Carlo mode samples
 patterns and maps them through the same packed columns, decoding only
 the (row, qubit) entries the channel hit.  A row with no hit has image 0
 at both stations: syndrome 0, whose leader is the empty error with class
@@ -328,14 +331,14 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
     """Joint class-mass matrix M[za, xb], exact over all error patterns.
 
     Both stations decode a pattern through their packed linear maps
-    (Z errors on A, X errors on B), so only its joint image on m bits,
-    ordered (s_A, c_A, s_B, c_B), matters.  The image distribution is
-    folded onto residual classes: (s, c) lands on c ^ leader_class[s].
+    (Z errors on A, X errors on B), so only its joint image matters: A's
+    w_A image bits above B's w_B.  Each station's `residual` maps its 2^w
+    images to residual classes, as in Monte Carlo, and `bincount` sums
+    the masses onto them: B's classes under each A image first, then A's.
 
-    A station that no channel reaches (A when f1 = f3 = 0, B when
-    f2 = f3 = 0) keeps image 0, which decodes to class 0, so only the
-    other station's bits are propagated.  The byte check still counts
-    both stations, so whether a pair fits does not depend on the noise.
+    A station no channel reaches (A when f1 = f3 = 0, B when f2 = f3 = 0)
+    keeps image 0, class 0, so its w is 0 (else r + k).  The byte check
+    counts both stations, so whether a pair fits ignores the noise.
     """
     m = qa.x_stab.rows + qa.k + qb.z_stab.rows + qb.k
     need = EXACT_BYTES_PER_IMAGE << m
@@ -346,19 +349,18 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
     dec_b = _station_decoder(qb, "x")
     _, f1, f2, f3 = model.weights
     # An unreached station's columns enter only zero-weight terms, which are skipped.
-    ra, ka = (dec_a.r, dec_a.k) if f1 or f3 else (0, 0)
-    rb, kb = (dec_b.r, dec_b.k) if f2 or f3 else (0, 0)
-    p = _image_distribution([int(c) << (rb + kb) for c in dec_a.columns],
-                            dec_b.columns.tolist(), ra + ka + rb + kb, model)
-    # Gathering class y ^ leader_class[s] under syndrome s puts residual y in column y.
-    p = p.reshape(1 << ra, 1 << ka, 1 << rb, 1 << kb)
-    synd_b = np.arange(1 << rb)[:, None]
-    p = p[:, :, synd_b, np.arange(1 << kb) ^ dec_b.leader_class[:1 << rb, None]].sum(axis=2)
-    synd_a = np.arange(1 << ra)[:, None]
-    p = p[synd_a, np.arange(1 << ka) ^ dec_a.leader_class[:1 << ra, None]].sum(axis=0)
-    breakdown = np.zeros((1 << dec_a.k, 1 << dec_b.k))
-    breakdown[:1 << ka, :1 << kb] = p
-    return breakdown
+    wa = dec_a.r + dec_a.k if f1 or f3 else 0
+    wb = dec_b.r + dec_b.k if f2 or f3 else 0
+    p = _image_distribution([int(c) << wb for c in dec_a.columns], dec_b.columns.tolist(),
+                            wa + wb, model)
+    # bincount adds in input order, so each cell sums over syndromes in ascending order.
+    kb = 1 << dec_b.k
+    nb = kb if wb else 1  # B's classes in the image: class 0 alone when B is unreached
+    _, class_b = dec_b.residual(np.arange(1 << wb))
+    p = np.bincount((np.arange(1 << wa)[:, None] * nb + class_b).ravel(), p.ravel(), nb << wa)
+    _, class_a = dec_a.residual(np.arange(1 << wa))
+    p = np.bincount((class_a[:, None] * kb + np.arange(nb)).ravel(), p, kb << dec_a.k)
+    return p.reshape(-1, kb)
 
 
 def exact_logical_fidelity(qa: CssCode, qb: CssCode, model: ErrorModel) -> float:
@@ -436,8 +438,7 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     """
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
-    for dec in (dec_a, dec_b):
-        assert dec.leaders[0] == 0 and dec.leader_class[0] == 0, "syndrome 0 must decode to class 0"
+    assert dec_a.residual(0)[1] == dec_b.residual(0)[1] == 0, "image 0 must decode to class 0"
     f0, f1, f2, _ = model.weights
     thresholds = (f0, f0 + f1, f0 + f1 + f2)
     shape = (1 << qa.k, 1 << qb.k)

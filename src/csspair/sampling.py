@@ -36,6 +36,10 @@ def extend_basis(rng: np.random.Generator, base: BitMatrix, extra: int) -> BitMa
 def _complement_rows(rng: np.random.Generator, base: BitMatrix, count: int) -> BitMatrix:
     """The rows `extend_basis` appends: random rows drawn until `count` have joined a copy
     of base's echelon, each independent of base and of the rows kept before it."""
+    rank = gf2.rank(base)
+    if count > base.cols - rank:
+        raise ValueError(f"cannot extend a rank-{rank} base in {base.cols} columns "
+                         f"by {count} independent rows")
     ech = gf2._echelon(base).copy()
     words: list[int] = []
     while len(words) < count:

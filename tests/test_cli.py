@@ -8,7 +8,7 @@ from dataclasses import replace
 
 import pytest
 
-from csspair import BitMatrix, load_css, repeater, save_css
+from csspair import BitMatrix, cli, load_css, repeater, save_css
 from csspair.cli import main
 from csspair.sampling import random_cnot_pair, scramble_encoding
 
@@ -348,6 +348,19 @@ def test_simulate_duplicate_config_key_names_its_line(capsys, fixtures_dir, tmp_
     assert err == f"error: line {line}: duplicate config key {key!r}\n"
 
 
+def _sweep_in_capped_child(fixtures_dir, spec):
+    # A child process with a timeout and a 1 GiB address space: a sweep that never
+    # ends fails its test instead of hanging the suite or filling memory.
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    return subprocess.run(
+        [sys.executable, "-m", "csspair", "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
+         f"--sweep={spec}"],
+        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
+    )
+
+
 @pytest.mark.parametrize("spec, why", [
     ("f1=-inf:0:1", "must be finite"),
     ("f1=-1e300:0:1", "must lie in [0, 1]"),
@@ -357,22 +370,49 @@ def test_simulate_duplicate_config_key_names_its_line(capsys, fixtures_dir, tmp_
     # stop + step != stop here, but 0.5 + step rounds back to 0.5 (a tie, to even).
     ("f1=0.5:0.6:5.551115123125783e-17", "vanishes in rounding"),
     ("f1=0:1.5:0.5", "must lie in [0, 1]"),
+    ("f1=0.5:0.1:0.1", "start must not exceed stop"),
 ])
 def test_simulate_sweep_that_cannot_end_exits_2(fixtures_dir, spec, why):
-    # A child process with a timeout and a 1 GiB address space: a sweep that never
-    # ends fails this test instead of hanging the suite or filling memory.
-    def cap_memory():
-        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
-
-    proc = subprocess.run(
-        [sys.executable, "-m", "csspair", "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
-         f"--sweep={spec}"],
-        capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
-    )
+    proc = _sweep_in_capped_child(fixtures_dir, spec)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: bad sweep argument {spec!r}: ")
     assert why in proc.stderr
+
+
+def test_simulate_huge_sweep_exits_3_before_listing_points(fixtures_dir):
+    proc = _sweep_in_capped_child(fixtures_dir, "f1=0:1:1e-12")
+    assert proc.returncode == 3
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("capacity error: sweep 'f1=0:1:1e-12' has ")
+
+
+@pytest.mark.parametrize("spec, points", [("f1=0:0.3:0.1", 4), ("f1=0:0.4:0.1", 5)])
+def test_simulate_sweep_point_limit(capsys, fixtures_dir, monkeypatch, spec, points):
+    monkeypatch.setattr(cli, "MAX_SWEEP_POINTS", 4)
+    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
+                             "--sweep", spec)
+    if points <= 4:
+        assert code == 0 and len(out.splitlines()) == 1 + points
+    else:
+        assert code == 3 and out == ""
+        assert err == f"capacity error: sweep {spec!r} has {points} points; the limit is 4\n"
+
+
+def test_simulate_sweep_leaving_the_simplex_runs_no_point(capsys, fixtures_dir, monkeypatch):
+    ran = []
+    monkeypatch.setattr(repeater, "run_local_swapping", lambda cfg: ran.append(cfg))
+    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_steane.cfg"),
+                             "--sweep", "f1=0:1:0.05")
+    assert (code, out, ran) == (2, "", [])
+    assert err == ("error: bad sweep argument 'f1=0:1:0.05': at f1 = 1.0, "
+                   "f1 + f2 + f3 must not exceed 1\n")
+
+
+def test_simulate_jobs_zero_exits_2(capsys, fixtures_dir):
+    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_pair7_mc.cfg"),
+                             "--jobs", "0")
+    assert (code, out, err) == (2, "", "error: jobs must be >= 1\n")
 
 
 def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):

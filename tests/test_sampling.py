@@ -15,6 +15,7 @@ import json
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from csspair import gf2, sampling
 from csspair.codes import css_to_text
@@ -111,6 +112,22 @@ def test_extend_basis_builds_at_most_one_echelon(monkeypatch):
         assert out.rows == n and gf2.rank(out) == n
         rejected += rng.calls - 2
     assert rejected > 0  # the draws did hit dependent rows
+
+
+class _NoDraws:
+    def integers(self, *args, **kwargs):
+        raise AssertionError("drew from the generator")
+
+
+@pytest.mark.parametrize("rows, n, rank, extra", [
+    (["111", "010", "001"], 3, 3, 1),
+    ([], 4, 0, 5),
+    (["1100", "1100", "0011"], 4, 2, 3),  # dependent rows: the rank, not the row count
+])
+def test_extend_basis_refuses_more_rows_than_free_dimensions(rows, n, rank, extra):
+    base = gf2.BitMatrix.from_strings(rows) if rows else gf2.BitMatrix.empty(n)
+    with pytest.raises(ValueError, match=f"rank-{rank} base in {n} columns by {extra} "):
+        sampling.extend_basis(_NoDraws(), base, extra)
 
 
 if __name__ == "__main__":
