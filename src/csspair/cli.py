@@ -129,7 +129,7 @@ def _cmd_mirror(args) -> int:
     path2 = out_dir / "mirrored_b.code"
     codes.save_css(q1, path1, header="mirrored pair, first code (X checks mirrored into the second)")
     codes.save_css(q2, path2, header="mirrored pair, second code (X/Z checks swapped)")
-    pairing = (q1.enc_a @ q2.enc_a.T).row_strings() if q1.k else []
+    pairing = (q1.enc_a @ q2.enc_a.T).row_strings()
     check = transversality.check_cz_transversal(q1, q2)
     payload = {
         "written": [str(path1), str(path2)],
@@ -177,6 +177,8 @@ def _parse_sweep(arg: str) -> tuple[str, list[float]]:
 
 
 def _cmd_simulate(args) -> int:
+    if args.sweep and args.pretty:
+        raise ParseError("--pretty does not apply to --sweep, which prints CSV")
     cfg = repeater.load_config(args.config)
     if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
@@ -225,7 +227,8 @@ def _cmd_distance(args) -> int:
             "d2": codes.min_distance(q.c2),
         }
     else:
-        code = codes.make_classical(gf2.load_matrix(args.path))
+        code = gf2._parse_file(args.path,
+                               lambda text: codes.make_classical(gf2.BitMatrix.from_text(text)))
         payload = {"n": code.n, "k": code.k, "d": codes.min_distance(code)}
         if code.was_reduced:
             payload["warning"] = "generator rows were dependent; reduced"

@@ -183,7 +183,7 @@ def make_css_from_stabilizers(x_stab: BitMatrix, z_stab: BitMatrix,
         raise DimensionMismatchError("stabilizer matrices must share the block length")
     xs = gf2.independent_rows(x_stab)
     zs = gf2.independent_rows(z_stab)
-    if xs.rows and zs.rows and not (xs @ zs.T).is_zero():
+    if not (xs @ zs.T).is_zero():
         raise ContainmentError("X and Z stabilizers do not commute (non-orthogonal rows)")
     c1 = ClassicalCode(gf2.dual_basis(zs))
     c2 = ClassicalCode(gf2.dual_basis(xs))
@@ -241,8 +241,6 @@ def logical_z_representatives(q: CssCode) -> BitMatrix:
     stabilizers, so residual Z operators can be classified by pairing
     against enc_a and residual X operators by pairing against L.
     """
-    if q.k == 0:
-        return BitMatrix.empty(q.n)
     try:
         w = gf2.right_identity_transform(q.c2.gen @ q.enc_a.T)
     except (DimensionMismatchError, SingularMatrixError) as exc:

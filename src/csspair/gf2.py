@@ -36,9 +36,10 @@ FORMAT_COMMENT = "# format=1"
 class BitMatrix:
     """Immutable dense binary matrix.
 
-    Entries are 0/1 uint8; rows may be 0 (empty matrices are legal,
-    e.g. the coset matrix of a code with no logical qubits) but there
-    is always at least one column.  `_ech` memoizes the echelon of the
+    Entries are 0/1 uint8.  Any shape is a value, 0 rows or 0 columns
+    included: the representatives of a code with no logical qubits are
+    0 x n, and their transpose n x 0.  A 1-d input is one row; empty
+    input given `cols` is 0 x cols.  `_ech` memoizes the echelon of the
     rows (see `_echelon`).
     """
 
@@ -46,16 +47,12 @@ class BitMatrix:
 
     def __init__(self, data, cols: int | None = None):
         arr = np.array(data, dtype=np.uint8, copy=True)
-        if arr.ndim == 1:
+        if arr.size == 0 and cols is not None:
+            arr = np.zeros((0, cols), dtype=np.uint8)
+        elif arr.ndim == 1:
             arr = arr.reshape(1, -1)
         if arr.ndim != 2:
             raise DimensionMismatchError(f"expected a 2-d array, got ndim={arr.ndim}")
-        if arr.size == 0:
-            if cols is None:
-                cols = arr.shape[1] if arr.ndim == 2 and arr.shape[1] > 0 else 0
-            arr = np.zeros((0, cols), dtype=np.uint8)
-        if arr.shape[1] < 1:
-            raise DimensionMismatchError("a BitMatrix needs at least one column")
         if np.any(arr > 1):
             raise ValueError("entries must be 0 or 1")
         arr.setflags(write=False)
@@ -64,8 +61,8 @@ class BitMatrix:
 
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
-        """A BitMatrix owning `arr`, a 2-d 0/1 uint8 array with at least one column
-        that gf2 has just allocated: no copy and no second validation."""
+        """A BitMatrix owning `arr`, a 2-d 0/1 uint8 array that gf2 has just
+        allocated: no copy and no second validation."""
         arr.setflags(write=False)
         m = cls.__new__(cls)
         m.a = arr
@@ -112,7 +109,7 @@ class BitMatrix:
 
     @property
     def T(self) -> "BitMatrix":
-        return BitMatrix(self.a.T.copy())
+        return BitMatrix._wrap(self.a.T.copy())
 
     def row(self, i: int) -> np.ndarray:
         return self.a[i].copy()
@@ -147,11 +144,11 @@ class BitMatrix:
 
     def row_strings(self) -> list[str]:
         text = (self.a + ord("0")).tobytes().decode("ascii")
-        return [text[i:i + self.cols] for i in range(0, len(text), self.cols)]
+        return [text[i * self.cols:(i + 1) * self.cols] for i in range(self.rows)]
 
     def __repr__(self) -> str:
-        if self.rows == 0:
-            return f"BitMatrix(0x{self.cols})"
+        if self.a.size == 0:
+            return f"BitMatrix({self.rows}x{self.cols})"
         return "BitMatrix([" + ", ".join(self.row_strings()) + "])"
 
     # -- text format ------------------------------------------------------------

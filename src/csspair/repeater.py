@@ -258,8 +258,10 @@ class ProtocolConfig:
             raise _BadValue("montecarlo mode needs samples >= 1", "samples", "mode")
         if self.jobs < 1:
             raise _BadValue("jobs must be >= 1", "jobs")
-        if self.seed is not None and self.seed < 0:
-            raise _BadValue("seed must be nonnegative", "seed")
+        for name, count in (("seed", self.seed), ("N", self.raw_pairs_n),
+                            ("samples", self.samples)):
+            if count is not None and count < 0:
+                raise _BadValue(f"{name} must be nonnegative", name.lower())
 
 
 @dataclass
@@ -421,7 +423,10 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     the seed.  The stream count is part of what fixes the sample:
     results are reproducible for a fixed (seed, samples, jobs) triple.
     Streams past the `samples`-th would draw no rows, so they are never
-    spawned.
+    made.  Stream w is seeded where it is drawn, as
+    SeedSequence(seed, spawn_key=(w,)), which is the w-th child of
+    SeedSequence(seed).spawn; no list of children is held, so memory
+    does not grow with the stream count.
 
     The streams are drawn in parallel by W = min(streams, usable cores)
     worker threads: worker t draws streams t, t + W, ... into its own
@@ -444,7 +449,6 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     shape = (1 << qa.k, 1 << qb.k)
     streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
-    children = np.random.SeedSequence(seed).spawn(streams)
     workers = min(streams, _usable_cores())
     # One chunk per worker, sized so that all of them hold at most MC_CHUNK_ROWS rows.
     chunk = max(1, min(MC_CHUNK_ROWS // workers, base + (extra > 0)))
@@ -454,7 +458,7 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
         counts = np.zeros(shape, dtype=np.int64)
         for w in range(t, streams, workers):
             block = base + (1 if w < extra else 0)
-            rng = np.random.default_rng(children[w])
+            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
             # Row chunks consume the stream in the same order as one draw.
             for start in range(0, block, chunk):
                 rows = min(chunk, block - start)

@@ -20,8 +20,6 @@ def random_full_rank(rng: np.random.Generator, rows: int, cols: int) -> BitMatri
     """Uniformly random rows x cols binary matrix of full row rank."""
     if rows > cols:
         raise ValueError("cannot have more independent rows than columns")
-    if rows == 0:
-        return BitMatrix.empty(cols)
     while True:
         m = BitMatrix(rng.integers(0, 2, size=(rows, cols), dtype=np.uint8))
         if gf2.rank(m) == rows:
@@ -59,11 +57,8 @@ def _css_from_x_checks(x_checks: BitMatrix, reps: BitMatrix) -> CssCode:
 def scramble_encoding(rng: np.random.Generator, q: CssCode) -> CssCode:
     """Re-encode with W @ A + M @ x_stab for random invertible W: same code,
     different (still valid) coset representatives."""
-    if q.k == 0:
-        return q
     enc = random_full_rank(rng, q.k, q.k) @ q.enc_a
-    if q.x_stab.rows:
-        enc += BitMatrix(rng.integers(0, 2, size=(q.k, q.x_stab.rows), dtype=np.uint8)) @ q.x_stab
+    enc += BitMatrix(rng.integers(0, 2, size=(q.k, q.x_stab.rows), dtype=np.uint8)) @ q.x_stab
     return with_encoding(q, enc)
 
 

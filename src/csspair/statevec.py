@@ -100,7 +100,7 @@ def encode_logical(q: CssCode, psi) -> StateVector:
         raise DimensionMismatchError(f"logical vector has length {psi.size}, code has k={q.k}")
     if q.n > MAX_QUBITS:
         raise CapacityError(f"n={q.n} exceeds the {MAX_QUBITS}-qubit limit")
-    x = (psi @ q.enc_a.a) % 2 if q.k else np.zeros(q.n, dtype=np.uint8)
+    x = (psi @ q.enc_a.a) % 2
     members = [gf2.vector_to_int(x)]
     for row in q.x_stab:
         word = gf2.vector_to_int(row)

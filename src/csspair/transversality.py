@@ -111,11 +111,6 @@ class OracleResult(NamedTuple):
     pairs_checked: int
 
 
-def _gram(m1: BitMatrix, m2: BitMatrix) -> np.ndarray:
-    """m1 @ m2^T over GF(2) as a uint8 array; an empty factor gives an empty product."""
-    return ((m1.a.astype(np.int64) @ m2.a.T.astype(np.int64)) & 1).astype(np.uint8)
-
-
 def _unit(k: int, j: int | None = None) -> tuple[int, ...]:
     """The logical vector e_j of length k, or the zero vector when j is None."""
     return tuple(int(i == j) for i in range(k))
@@ -171,10 +166,10 @@ def _cz_matrices(qa: CssCode, qb: CssCode):
     """S = x_stab_A x_stab_B^T, alpha = x_stab_B A^T, beta = x_stab_A B^T and M = A B^T + I
     (None for unequal k): (psi_a, psi_b) fails CZ iff S != 0, alpha psi_a != 0,
     beta psi_b != 0 or psi_a M psi_b = 1."""
-    s = _gram(qa.x_stab, qb.x_stab)
-    alpha = _gram(qb.x_stab, qa.enc_a)
-    beta = _gram(qa.x_stab, qb.enc_a)
-    m = _gram(qa.enc_a, qb.enc_a) ^ np.eye(qa.k, dtype=np.uint8) if qa.k == qb.k else None
+    s = (qa.x_stab @ qb.x_stab.T).a
+    alpha = (qb.x_stab @ qa.enc_a.T).a
+    beta = (qa.x_stab @ qb.enc_a.T).a
+    m = (qa.enc_a @ qb.enc_a.T).a ^ np.eye(qa.k, dtype=np.uint8) if qa.k == qb.k else None
     return s, alpha, beta, m
 
 
@@ -244,7 +239,7 @@ def make_mirrored_pair(g1_perp: BitMatrix, g2_perp: BitMatrix) -> tuple[CssCode,
     """
     if g1_perp.cols != g2_perp.cols:
         raise DimensionMismatchError("check matrices must share the block length")
-    if _gram(g1_perp, g2_perp).any():
+    if (g1_perp @ g2_perp.T).a.any():
         raise ContainmentError("row spaces are not mutually orthogonal; not a valid CSS pair")
     code1 = make_css_from_stabilizers(x_stab=g2_perp, z_stab=g1_perp, name="mirrored-1")
     code2 = make_css_from_stabilizers(x_stab=g1_perp, z_stab=g2_perp, name="mirrored-2")
@@ -271,8 +266,6 @@ def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitM
     """
     if not is_mirrored_pair(q1, q2):
         raise ContainmentError("codes do not form a mirrored pair")
-    if q1.k == 0:
-        return BitMatrix.empty(q1.n), BitMatrix.empty(q2.n)
     u = q1.enc_a @ q2.enc_a.T
     try:
         w = gf2.right_identity_transform(u)
@@ -308,7 +301,7 @@ def audit_mirror_claims(z_stab_a: BitMatrix, x_stab_a: BitMatrix,
             "Z-stabilizer space, so the pair is not mirrored (C4 != C1)"
         )
     if claimed_enc_b is not None:
-        for i in np.flatnonzero(_gram(claimed_enc_b, x_stab_a).any(axis=1)):
+        for i in np.flatnonzero((claimed_enc_b @ x_stab_a.T).a.any(axis=1)):
             findings.append(
                 f"claimed representative row {i + 1} of the second code is not orthogonal "
                 f"to the first code's X stabilizers, so it lies outside C2 = C3"
@@ -451,9 +444,6 @@ def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:
         return None
     if not gf2.subspace_leq(qa.x_stab, qb.x_stab):
         return None
-    k = qa.k
-    if k == 0:
-        return BitMatrix.empty(qa.n)
     # Fast path: the control code's encoding, if it is also a valid encoding of qb.
     try:
         with_encoding(qb, qa.enc_a)
@@ -463,4 +453,4 @@ def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:
         return qa.enc_a
     shared = gf2.rowspace_intersection(qa.c1.gen, qb.c1.gen)
     kept = gf2.independent_rows(shared, modulo=qb.x_stab)
-    return kept if kept.rows == k else None
+    return kept if kept.rows == qa.k else None

@@ -174,6 +174,15 @@ def test_distance_classical(capsys, tmp_path):
     assert json.loads(out) == {"format": 1, "n": 7, "k": 4, "d": 3}
 
 
+def test_distance_of_matrix_without_rows_names_the_file(capsys, tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "zero.mat").write_text("0 4\n")
+    code, out, err = run_cli(capsys, "distance", "zero.mat")
+    assert code == 2
+    assert out == ""
+    assert err == "error: zero.mat: a classical code needs at least one generator row\n"
+
+
 def test_distance_css(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "distance", str(fixtures_dir / "steane.code"), "--css")
     assert code == 0
@@ -210,6 +219,18 @@ def test_simulate_sweep_csv_monotone(capsys, fixtures_dir):
     fids = [float(line.split(",")[6]) for line in lines[1:]]
     assert len(fids) == 5
     assert all(a >= b for a, b in zip(fids, fids[1:]))
+
+
+def test_simulate_sweep_refuses_pretty_before_any_point(capsys, fixtures_dir, monkeypatch):
+    def no_point(cfg):
+        raise AssertionError("a point ran")
+
+    monkeypatch.setattr(repeater, "run_local_swapping", no_point)
+    code, out, err = run_cli(capsys, "--pretty", "simulate",
+                             str(fixtures_dir / "sim_zero_noise.cfg"), "--sweep", "f1=0:0.02:0.005")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --pretty does not apply to --sweep, which prints CSV\n"
 
 
 def test_simulate_montecarlo_echoes_seed(capsys, fixtures_dir):
@@ -321,6 +342,8 @@ def test_simulate_nan_noise_exits_2(capsys, fixtures_dir, tmp_path):
     (["mode=montecarlo", "samples=10", "seed=-1"], 4),
     (["override=ture"], 2),
     (["override="], 2),
+    (["N=-3"], 2),
+    (["f1=0.01", "samples=-7"], 3),
 ])
 def test_simulate_bad_config_value_names_its_line(capsys, fixtures_dir, tmp_path, body, line):
     cfg = tmp_path / "bad.cfg"

@@ -497,6 +497,20 @@ def test_montecarlo_spawns_no_stream_past_samples(pair7_a, pair7_b):
     assert peak < 1 << 20
 
 
+def test_montecarlo_stream_seeds_do_not_grow_memory(pair7_a, pair7_b):
+    # Spawning all 1000 child seeds up front held about 350 KiB.
+    model = ErrorModel(0.1, 0.1, 0.05)
+    repeater._mc_breakdown(pair7_a, pair7_b, model, 1, 0, 1)  # builds the decoders outside the trace
+    tracemalloc.start()
+    try:
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, 1000, 5, 1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(counts, dense_reference_counts(pair7_a, pair7_b, model, 1000, 5, 1000))
+    assert peak < 128 << 10
+
+
 def test_montecarlo_working_set_within_chunk_estimate():
     # f0 = 0: every entry is a hit, the worst case for the sparse fold.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
