@@ -182,8 +182,6 @@ def _cmd_simulate(args) -> int:
     cfg = repeater.load_config(args.config)
     if args.jobs is not None:
         cfg = replace(cfg, jobs=args.jobs)
-    if args.allow_nontransversal:
-        cfg = replace(cfg, allow_nontransversal=True)
     if not args.sweep:
         report = repeater.run_local_swapping(cfg)
         _emit(report.to_dict(), args.pretty, args.out)
@@ -294,8 +292,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int,
                    help="Monte Carlo seed streams, drawn in parallel on up to one thread "
                         "per usable core; with the seed they fix the sample")
-    p.add_argument("--allow-nontransversal", action="store_true",
-                   help="simulate even if the pair fails the CNOT check")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("distance", help="[n,k,d] of a code file")

@@ -62,7 +62,7 @@ class BitMatrix:
     @classmethod
     def _wrap(cls, arr: np.ndarray) -> "BitMatrix":
         """A BitMatrix owning `arr`, a 2-d 0/1 uint8 array that gf2 has just
-        allocated: no copy and no second validation."""
+        allocated or a view of a read-only one: no copy and no second validation."""
         arr.setflags(write=False)
         m = cls.__new__(cls)
         m.a = arr
@@ -109,7 +109,7 @@ class BitMatrix:
 
     @property
     def T(self) -> "BitMatrix":
-        return BitMatrix._wrap(self.a.T.copy())
+        return BitMatrix._wrap(self.a.T)
 
     def row(self, i: int) -> np.ndarray:
         return self.a[i].copy()
@@ -136,8 +136,8 @@ class BitMatrix:
             raise DimensionMismatchError(
                 f"cannot multiply {self.rows}x{self.cols} by {other.rows}x{other.cols}"
             )
-        prod = (self.a.astype(np.int64) @ other.a.astype(np.int64)) % 2
-        return BitMatrix._wrap(prod.astype(np.uint8))
+        # uint8 sums wrap mod 256, which keeps each entry's parity.
+        return BitMatrix._wrap((self.a @ other.a) & 1)
 
     def is_zero(self) -> bool:
         return not np.any(self.a)

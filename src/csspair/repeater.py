@@ -262,6 +262,11 @@ class ProtocolConfig:
                             ("samples", self.samples)):
             if count is not None and count < 0:
                 raise _BadValue(f"{name} must be nonnegative", name.lower())
+        if self.mode == "exact":  # the report would echo a setting that never ran
+            for name, unused in (("samples", self.samples != 0), ("seed", self.seed is not None),
+                                 ("jobs", self.jobs != 1)):
+                if unused:
+                    raise _BadValue(f"{name} applies to montecarlo mode only", name, "mode")
 
 
 @dataclass
@@ -477,34 +482,31 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
     """Simulate the two-station link and report logical Bell-pair fidelity.
 
     Refuses pairs that fail the pairwise-CNOT transversality check
-    unless allow_nontransversal is set (useful for studying how badly a
-    mismatched pair would perform).
+    unless allow_nontransversal is set (config key `override`; useful
+    for studying how badly a mismatched pair would perform).
     """
     notes: list[str] = []
     verdict = check_cnot_transversal(cfg.qa, cfg.qb, mode="coset").verdict
     if not verdict:
         if not cfg.allow_nontransversal:
             raise NonTransversalError(
-                "codes are not pairwise CNOT-transversal; pass allow_nontransversal to simulate anyway"
+                "codes are not pairwise CNOT-transversal; set override=1 to simulate anyway"
             )
         notes.append("pair is not CNOT-transversal; simulated under override")
     k = cfg.qa.k
+    seed, samples = cfg.seed, cfg.samples
     if cfg.mode == "exact":
         breakdown = _exact_breakdown(cfg.qa, cfg.qb, cfg.model)
         total = breakdown.sum()
         if not abs(total - 1.0) <= 1e-9:
             raise AssertionError(f"pattern masses sum to {total}, expected 1")
-        fid = float(breakdown[0, 0])
-        stderr = None
-        seed = cfg.seed
-        samples = 0
     else:
-        seed = cfg.seed if cfg.seed is not None else secrets.randbits(32)
-        counts = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, cfg.samples, seed, cfg.jobs)
-        samples = cfg.samples
+        if seed is None:
+            seed = secrets.randbits(32)
+        counts = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, samples, seed, cfg.jobs)
         breakdown = counts / float(samples)
-        fid = float(breakdown[0, 0])
-        stderr = float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
+    fid = float(breakdown[0, 0])
+    stderr = None if cfg.mode == "exact" else float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
     keys = {}
     for za in range(breakdown.shape[0]):
         for xb in range(breakdown.shape[1]):

@@ -506,3 +506,52 @@ def test_non_utf8_file_is_named_at_its_line(capsys, fixtures_dir, tmp_path, comm
     assert out == ""
     assert err == f"error: {message}\n"
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("body, key, line", [
+    (["samples=5"], "samples", 2),
+    (["seed=3"], "seed", 2),
+    (["jobs=4"], "jobs", 2),
+    (["mode=exact", "f1=0.01", "jobs=4"], "jobs", 4),
+    (["samples=5", "seed=3", "jobs=4", "mode=exact"], "samples", 5),
+])
+def test_simulate_exact_config_refuses_montecarlo_settings(capsys, fixtures_dir, tmp_path,
+                                                           body, key, line):
+    cfg = tmp_path / "exact.cfg"
+    cfg.write_text("\n".join(["# a link", *body,
+                              f"codeA={fixtures_dir / 'steane.code'}",
+                              f"codeB={fixtures_dir / 'steane.code'}"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == f"error: line {line}: bad config value: {key} applies to montecarlo mode only\n"
+
+
+def test_simulate_jobs_on_exact_config_runs_no_point(capsys, fixtures_dir, monkeypatch):
+    ran = []
+    monkeypatch.setattr(repeater, "run_local_swapping", lambda cfg: ran.append(cfg))
+    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_pair7.cfg"),
+                             "--jobs", "2")
+    assert (code, out, err, ran) == (2, "", "error: jobs applies to montecarlo mode only\n", [])
+
+
+def test_simulate_has_no_allow_nontransversal_flag(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(fixtures_dir / "sim_pair7.cfg"), "--allow-nontransversal"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --allow-nontransversal" in capsys.readouterr().err
+
+
+def test_simulate_override_is_the_way_past_the_cnot_check(capsys, fixtures_dir, tmp_path):
+    cfg = tmp_path / "mismatch.cfg"
+    link = (f"codeA={fixtures_dir / 'pair7_station_b.code'}\n"
+            f"codeB={fixtures_dir / 'pair7_station_a.code'}\nf1=0.01\n")
+    cfg.write_text(link)
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: codes are not pairwise CNOT-transversal; set override=1 to simulate anyway\n"
+    cfg.write_text(link + "override=1\n")
+    code, out, _ = run_cli(capsys, "simulate", str(cfg))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["transversality_verdict"] is False
+    assert payload["notes"] == ["pair is not CNOT-transversal; simulated under override"]

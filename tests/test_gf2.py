@@ -464,3 +464,27 @@ def test_memoized_echelons_are_not_changed_by_their_readers(seed, backwards):
     order = range(len(shared))[::-1] if backwards else range(len(shared))
     assert [shared[i]() for i in order] == [fresh[i] for i in order]
     assert [answer() for answer in shared] == fresh
+
+
+@pytest.mark.parametrize("shape", [(7, 7, 7), (64, 64, 64), (5, 257, 6), (40, 300, 30),
+                                   (12, 600, 9), (0, 300, 4), (4, 300, 0), (3, 0, 5)])
+def test_product_matches_int64_reference(shape):
+    """Inner dimensions past 255 wrap the uint8 sums; parity must survive the wrap."""
+    r, inner, c = shape
+    rng = np.random.default_rng(inner + r)
+    left = BitMatrix(rng.integers(0, 2, size=(r, inner), dtype=np.uint8))
+    right = BitMatrix(rng.integers(0, 2, size=(inner, c), dtype=np.uint8))
+    want = (left.a.astype(np.int64) @ right.a.astype(np.int64)) % 2
+    got = left @ right
+    assert got.a.dtype == np.uint8 and got.a.shape == (r, c)
+    assert np.array_equal(got.a, want)
+    ones = BitMatrix(np.ones((2, inner), dtype=np.uint8))
+    assert np.array_equal((ones @ ones.T).a, np.full((2, 2), inner % 2))
+
+
+def test_transpose_is_a_read_only_view():
+    m = BitMatrix([[1, 0, 1], [0, 1, 1]])
+    t = m.T
+    assert t == BitMatrix([[1, 0], [0, 1], [1, 1]])
+    assert np.shares_memory(t.a, m.a) and not t.a.flags.writeable
+    assert t.T == m

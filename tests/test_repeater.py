@@ -750,3 +750,9 @@ def test_decoder_working_set_per_step_on_wide_layers(n, r, seed):
     # The search steps n times from each syndrome of a layer at once.
     steps = n * int(layers.max())
     assert peak <= (repeater.DECODER_BYTES_PER_SYNDROME << r) + repeater.DECODER_BYTES_PER_STEP * steps
+
+
+@pytest.mark.parametrize("key, value", [("seed", 1), ("samples", 5), ("jobs", 2)])
+def test_exact_config_refuses_montecarlo_settings(pair7_a, pair7_b, key, value):
+    with pytest.raises(ValueError, match=f"{key} applies to montecarlo mode only"):
+        ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.01, 0.0), **{key: value})
