@@ -14,7 +14,10 @@ simulation is exact classical syndrome bookkeeping: each station's
 decoder sees an error only through its syndrome and logical class, so
 exact mode tracks the distribution of those joint images (2^8 of them
 for the [[7,2]] pair) rather than all 4^n error patterns.  Monte Carlo
-mode samples patterns instead.
+mode samples patterns instead, drawing only the qubit pairs the channel
+hits: the gap from one hit to the next is geometric, so at
+f1 + f2 + f3 = 0.02 it draws about one pair of uniforms per 50 qubit
+pairs and decodes only the samples with a hit.
 """
 
 from csspair import ErrorModel, ProtocolConfig, exact_logical_fidelity, load_config, run_local_swapping

@@ -17,10 +17,12 @@ Exact mode never lists the 4^n error patterns: it propagates the joint
 distribution of both stations' images, 2^m values with m <= n + k for
 CNOT-transversal pairs, one qubit at a time, then folds each station's
 images onto its residual classes.  Monte Carlo mode samples
-patterns and maps them through the same packed columns, decoding only
-the (row, qubit) entries the channel hit.  A row with no hit has image 0
-at both stations: syndrome 0, whose leader is the empty error with class
-0, so it counts as class (0, 0) without being decoded.
+patterns and maps them through the same packed columns.  It draws only
+the (row, qubit) entries the channel hits, one pair of uniforms per hit
+(the geometric gap to it and its species), so a sample costs O(n h)
+with h = f1 + f2 + f3, not O(n).  A row with no hit has image 0 at both
+stations: syndrome 0, whose leader is the empty error with class 0, so
+it counts as class (0, 0) without being decoded.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -54,15 +56,18 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo workers together hold at most this many rows: each of W
-# workers draws its seed streams in blocks of MC_CHUNK_ROWS // W rows.  When
-# every entry is a hit (f0 = 0) a block's working set stays within
-# MC_BYTES_PER_ENTRY per entry (the float64 draw; at most four int64
-# vectors and two masks over the hits alive at once) plus MC_BYTES_PER_ROW
-# per row (int64 vectors over the rows hit), whatever the sample count.
-MC_CHUNK_ROWS = 1 << 15
-MC_BYTES_PER_ENTRY = 48
-MC_BYTES_PER_ROW = 48
+# Monte Carlo draws one (U, V) pair of uniforms per channel hit, and its
+# workers together hold at most MC_BATCH_HITS hits: each of W workers draws
+# its seed streams in batches of at most max(MC_BATCH_HITS // W, n + 1)
+# pairs, n + 1 so that a row a batch ends inside can be carried over.  A
+# batch's working set stays within MC_BYTES_PER_HIT per pair, whatever the
+# sample count or noise: the two float64 draws, then two masks and a few
+# int64 vectors over the hits and over the rows they hit (at most one per hit).
+MC_BATCH_HITS = 1 << 16
+MC_BYTES_PER_HIT = 96
+# A longer gap between hits reads as this many entries with no hit (see
+# _channel_hits), so a batch's gaps sum to less than 2^62.
+MC_MAX_GAP = 1 << 32
 
 
 class _BadValue(ValueError):
@@ -96,6 +101,11 @@ class ErrorModel:
     def weights(self) -> tuple[float, float, float, float]:
         """(identity, Z_A, X_B, Z_A X_B) probabilities."""
         return (1.0 - self.f1 - self.f2 - self.f3, self.f1, self.f2, self.f3)
+
+    @property
+    def hit_rate(self) -> float:
+        """f1 + f2 + f3: the probability that the channel hits a qubit pair."""
+        return self.f1 + self.f2 + self.f3
 
 
 def enumerate_error_patterns(n: int, model: ErrorModel):
@@ -388,29 +398,89 @@ def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
     return out
 
 
-def _hit_classes(flat: np.ndarray, n: int, thresholds: tuple[float, float, float],
-                 dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder) -> tuple[np.ndarray, np.ndarray]:
-    """Residual classes (at A, at B) of the sample rows the channel hit.
+def _channel_hits(pairs: np.ndarray, model: ErrorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gap before each channel hit and the hit's species, one (U, V) row of `pairs` per hit.
 
-    `flat` holds rows of n uniforms; u >= t1 is a hit, X on B when
-    u >= t2, Z on A when u < t2 or u >= t3.  Only the hits are decoded:
-    each XORs its qubit's packed column into its row's image at every
-    station it reaches, one `reduceat` per station over the hits in row
-    order.  Rows with no hit are not returned.
+    The channel hits each (row, qubit) entry independently with
+    h = f1 + f2 + f3 > 0, so the gap from one hit to the next is
+    Geometric(h) on {1, 2, ...}: by inversion, 1 + floor(log1p(-U) /
+    log1p(-h)), which is 1 for every U when h = 1.  V h < f1 makes the hit
+    Z on A (z), f1 <= V h < f1 + f2 X on B (x), and the rest both.
+
+    A gap longer than MC_MAX_GAP reads as MC_MAX_GAP entries, the last
+    with neither species.  The wait for a hit is memoryless, so the next
+    gap starts afresh and the hits keep their law, and no int64 sum of a
+    batch's gaps can overflow, however many samples a stream holds.
     """
-    t1, t2, t3 = thresholds
-    hit = np.flatnonzero(flat >= t1)
-    v = flat[hit]
-    x = v >= t2
-    z = ~x | (v >= t3)
-    del v
-    row = hit // n
-    first = np.flatnonzero(np.diff(row, prepend=-1) > 0)  # each hit row's first hit
-    qubit = hit - row * n
-    del hit, row  # freed before the column gathers, which set the peak working set
-    _, class_a = dec_a.residual(np.bitwise_xor.reduceat(dec_a.columns[qubit] * z, first))
-    _, class_b = dec_b.residual(np.bitwise_xor.reduceat(dec_b.columns[qubit] * x, first))
-    return class_a, class_b
+    f1, f2, h = model.f1, model.f2, model.hit_rate
+    scale = math.log1p(-h) if h < 1 else -math.inf
+    wait = np.log1p(-pairs[:, 0])
+    np.maximum(wait, scale * (MC_MAX_GAP + 1), out=wait)  # bounds the quotient below
+    wait /= scale
+    gaps = wait.astype(np.int64)  # floor, as wait >= 0
+    gaps += 1
+    del wait
+    kind = pairs[:, 1] * h
+    z = (kind < f1) | (kind >= f1 + f2)
+    x = kind >= f1
+    long = np.flatnonzero(gaps > MC_MAX_GAP)
+    gaps[long] = MC_MAX_GAP
+    z[long] = x[long] = False
+    return gaps, z, x
+
+
+def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cap: int,
+                   dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder) -> np.ndarray:
+    """Joint class counts of `rows` samples drawn hit by hit from one seed stream.
+
+    The rows' (row, qubit) entries are read as one flat run, row after
+    row, and the stream as one (U, V) pair per hit (see _channel_hits).
+    Pairs are drawn in batches of about the hits still expected, at most
+    max(cap, n + 1), and `rng.random` reads the stream pair by pair, so
+    the counts do not depend on the batch sizes.  A batch is decoded up
+    to its last row, which may get more hits: that row's pairs are
+    carried over to the next batch.  Each hit XORs its qubit's packed
+    column into its row's image at every station it reaches, one
+    `reduceat` per station over the hits in row order.  A row with no hit
+    has image 0 at both stations, class (0, 0), and is not decoded.
+    """
+    n = dec_a.columns.size
+    counts = np.zeros((1 << dec_a.k, 1 << dec_b.k), dtype=np.int64)
+    entries = rows * n
+    last = -1  # the entry of the last decoded hit
+    decoded = 0  # rows with a decoded hit
+    kept = np.empty((0, 2))
+    while True:
+        left = entries - last  # a hit g entries past `last` lies in the stream iff g < left
+        expected = left * max(model.hit_rate, 1 / MC_MAX_GAP)  # pairs still to draw
+        size = max(len(kept) + 1, min(cap, int(expected + 4 * math.sqrt(expected)) + 8))
+        pairs = np.empty((size, 2))
+        pairs[:len(kept)] = kept
+        rng.random(out=pairs[len(kept):])
+        offset, z, x = _channel_hits(pairs, model)
+        np.cumsum(offset, out=offset)  # gaps to entries past `last`, below 2^62 (see MC_MAX_GAP)
+        got = int(np.searchsorted(offset, min(left, 1 << 62)))
+        at = offset[:got] + last % n  # entries past the start of the row of `last`
+        row = at // n
+        ended = got < size
+        if not ended:
+            got = int(np.searchsorted(row, row[-1]))
+            kept = pairs[got:].copy()
+        del pairs
+        if got:
+            # Each hit row's first hit; the batch's first hit lies past the row of `last`.
+            first = np.flatnonzero(np.r_[True, row[1:got] != row[:got - 1]])
+            qubit = at[:got] - row[:got] * n
+            last += int(offset[got - 1])
+            del offset, at, row  # freed before the column gathers, which set the peak working set
+            _, class_a = dec_a.residual(np.bitwise_xor.reduceat(dec_a.columns[qubit] * z[:got], first))
+            _, class_b = dec_b.residual(np.bitwise_xor.reduceat(dec_b.columns[qubit] * x[:got], first))
+            joint = class_a * counts.shape[1] + class_b
+            counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
+            decoded += first.size
+        if ended:
+            counts[0, 0] += rows - decoded
+            return counts
 
 
 def _usable_cores() -> int:
@@ -433,45 +503,38 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     SeedSequence(seed).spawn; no list of children is held, so memory
     does not grow with the stream count.
 
+    Each stream draws only the channel's hits: one (U, V) pair of
+    uniforms per hit, the gap to it and its species (see _channel_hits
+    and _stream_counts), so a stream costs O(rows n h) with
+    h = f1 + f2 + f3, and h = 0 draws nothing.
+
     The streams are drawn in parallel by W = min(streams, usable cores)
-    worker threads: worker t draws streams t, t + W, ... into its own
-    slice of one buffer and keeps its own counts, which are summed at
-    the end.  Integer sums do not depend on order, so the counts do not
+    worker threads: worker t draws streams t, t + W, ... in batches of
+    at most MC_BATCH_HITS // W hits and keeps its own counts, which are
+    summed at the end.  Integer sums do not depend on order, and a
+    stream's counts do not depend on its batches, so the counts do not
     depend on W.  Workers call only private functions and methods, so a
     tracer that wraps the public functions keeps one span stack, and the
-    numpy fills and loops they run release the interpreter lock.
-
-    Only the entries the channel hits (u >= f0) are decoded, and at low
-    noise nearly every entry is the identity (see _hit_classes).  A row
-    with no hit has image 0 at both stations; syndrome 0's leader is the
-    empty error, with class 0, so such a row counts as class (0, 0).
+    numpy loops they run release the interpreter lock.
     """
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
     assert dec_a.residual(0)[1] == dec_b.residual(0)[1] == 0, "image 0 must decode to class 0"
-    f0, f1, f2, _ = model.weights
-    thresholds = (f0, f0 + f1, f0 + f1 + f2)
     shape = (1 << qa.k, 1 << qb.k)
+    if not model.hit_rate:  # no entry is hit: nothing to draw
+        counts = np.zeros(shape, dtype=np.int64)
+        counts[0, 0] = samples
+        return counts
     streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
     workers = min(streams, _usable_cores())
-    # One chunk per worker, sized so that all of them hold at most MC_CHUNK_ROWS rows.
-    chunk = max(1, min(MC_CHUNK_ROWS // workers, base + (extra > 0)))
-    u = np.empty((workers, chunk, qa.n))
+    cap = max(1, MC_BATCH_HITS // workers)
 
     def draw(t: int) -> np.ndarray:
         counts = np.zeros(shape, dtype=np.int64)
         for w in range(t, streams, workers):
-            block = base + (1 if w < extra else 0)
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-            # Row chunks consume the stream in the same order as one draw.
-            for start in range(0, block, chunk):
-                rows = min(chunk, block - start)
-                flat = rng.random(out=u[t, :rows]).ravel()
-                class_a, class_b = _hit_classes(flat, qa.n, thresholds, dec_a, dec_b)
-                joint = class_a * shape[1] + class_b
-                counts += np.bincount(joint, minlength=counts.size).reshape(shape)
-                counts[0, 0] += rows - joint.size
+            counts += _stream_counts(rng, base + (1 if w < extra else 0), model, cap, dec_a, dec_b)
         return counts
 
     with ThreadPoolExecutor(max_workers=workers) as pool:

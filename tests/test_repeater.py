@@ -421,24 +421,16 @@ def test_exact_working_set_within_byte_estimate():
     assert peak <= (repeater.EXACT_BYTES_PER_IMAGE << 18) + (1 << 20)
 
 
-def test_montecarlo_chunks_match_one_shot_draw(pair7_a, pair7_b):
-    """Chunked draws consume each seed stream exactly like one big draw."""
+def test_montecarlo_chunks_match_one_shot_draw(monkeypatch, pair7_a, pair7_b):
+    """Batched draws consume each seed stream exactly like one draw of all its pairs."""
+    monkeypatch.setattr(repeater, "MC_BATCH_HITS", 1 << 11)  # several batches per stream
     model = ErrorModel(0.02, 0.01, 0.005)
-    samples, seed, jobs = 2 * repeater.MC_CHUNK_ROWS + 7, 31337, 2
+    samples, seed, jobs = 2 * (1 << 15) + 7, 31337, 2
     counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-    _, class_a = repeater._station_decoder(pair7_a, "z").tables()
-    _, class_b = repeater._station_decoder(pair7_b, "x").tables()
-    f0, f1, f2, _ = model.weights
-    powers = 1 << np.arange(6, -1, -1)
-    expected = np.zeros_like(counts)
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(jobs)):
+    for w in range(jobs):
         block = samples // jobs + (1 if w < samples % jobs else 0)
-        assert block > repeater.MC_CHUNK_ROWS
-        u = np.random.default_rng(child).random((block, 7))
-        z = (u >= f0) & ((u < f0 + f1) | (u >= f0 + f1 + f2))
-        x = u >= f0 + f1
-        np.add.at(expected, (class_a[z @ powers], class_b[x @ powers]), 1)
-    assert np.array_equal(counts, expected)
+        assert block * 7 * model.hit_rate > 2 * repeater.MC_BATCH_HITS
+    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
 
 
 def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
@@ -455,20 +447,39 @@ def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
     assert peak < 12 << 20
 
 
-def dense_reference_counts(qa, qb, model, samples, seed, jobs):
-    """Class counts from every (row, qubit) entry of one draw per stream, via tables()."""
+def stream_reference_counts(qa, qb, model, samples, seed, jobs):
+    """Class counts from each stream's hit pairs, drawn in one call, via tables().
+
+    Stream w reads its rows' (row, qubit) entries as one flat run and draws
+    one (U, V) pair per hit: the gap to the hit is 1 + floor(log1p(-U) /
+    log1p(-h)), its species Z on A when V h < f1 or V h >= f1 + f2, X on B
+    when V h >= f1.  Every row is then decoded whole through the 2^n tables.
+    No gap reaches MC_MAX_GAP at the rates the tests use.
+    """
     n = qa.n
     _, class_a = repeater._station_decoder(qa, "z").tables()
     _, class_b = repeater._station_decoder(qb, "x").tables()
-    f0, f1, f2, _ = model.weights
+    f1, f2, h = model.f1, model.f2, model.hit_rate
     powers = 1 << np.arange(n - 1, -1, -1)
+    streams = min(jobs, samples)
     expected = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(jobs)):
-        block = samples // jobs + (1 if w < samples % jobs else 0)
-        u = np.random.default_rng(child).random((block, n))
-        z = (u >= f0) & ((u < f0 + f1) | (u >= f0 + f1 + f2))
-        x = u >= f0 + f1
-        np.add.at(expected, (class_a[z @ powers], class_b[x @ powers]), 1)
+    for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
+        block = samples // streams + (1 if w < samples % streams else 0)
+        z = np.zeros(block * n, dtype=bool)
+        x = np.zeros(block * n, dtype=bool)
+        if h:
+            draws = int(block * n * h + 10 * np.sqrt(block * n * h)) + 100
+            u, v = np.random.default_rng(child).random((draws, 2)).T
+            with np.errstate(divide="ignore"):  # log1p(-1) = -inf: every gap is 1
+                gaps = 1 + np.floor(np.log1p(-u) / np.log1p(-h))
+            entry = np.cumsum(gaps).astype(np.int64) - 1
+            assert entry[-1] >= block * n, "draw more pairs"
+            inside = entry < block * n
+            entry, kind = entry[inside], v[inside] * h
+            z[entry[(kind < f1) | (kind >= f1 + f2)]] = True
+            x[entry[kind >= f1]] = True
+        rows_z, rows_x = z.reshape(block, n) @ powers, x.reshape(block, n) @ powers
+        np.add.at(expected, (class_a[rows_z], class_b[rows_x]), 1)
     return expected
 
 
@@ -479,9 +490,9 @@ def test_montecarlo_sparse_fold_matches_dense_reference_at_edge_models(pair, f, 
     # No hits; every entry a hit (f0 = 0); coinciding thresholds; certain correlated errors.
     qa, qb = (pair7_a, pair7_b) if pair == "pair7" else random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(*f)
-    samples, seed, jobs = repeater.MC_CHUNK_ROWS + 3, 4242, 3
+    samples, seed, jobs = (1 << 15) + 3, 4242, 3
     counts = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
-    assert np.array_equal(counts, dense_reference_counts(qa, qb, model, samples, seed, jobs))
+    assert np.array_equal(counts, stream_reference_counts(qa, qb, model, samples, seed, jobs))
 
 
 def test_montecarlo_spawns_no_stream_past_samples(pair7_a, pair7_b):
@@ -507,18 +518,17 @@ def test_montecarlo_stream_seeds_do_not_grow_memory(pair7_a, pair7_b):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(counts, dense_reference_counts(pair7_a, pair7_b, model, 1000, 5, 1000))
+    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, 1000, 5, 1000))
     assert peak < 128 << 10
 
 
 def test_montecarlo_working_set_within_chunk_estimate():
-    # f0 = 0: every entry is a hit, the worst case for the sparse fold.
+    # f0 = 0: every entry is a hit, one batch of MC_BATCH_HITS pairs at a time.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
-    estimate = repeater.MC_CHUNK_ROWS * (repeater.MC_BYTES_PER_ENTRY * qa.n
-                                         + repeater.MC_BYTES_PER_ROW)
-    for samples in (repeater.MC_CHUNK_ROWS, 4 * repeater.MC_CHUNK_ROWS):
+    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
+    for samples in (1 << 15, 1 << 17):
         tracemalloc.start()
         try:
             counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
@@ -529,12 +539,29 @@ def test_montecarlo_working_set_within_chunk_estimate():
         assert peak <= estimate, samples
 
 
+def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
+    # Nearly every hit starts its own row, so the row vectors are as long as the hit vectors.
+    qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
+    model = ErrorModel(0.001, 0.001, 0.0001)
+    repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
+    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
+    samples = 1 << 22  # about twice MC_BATCH_HITS hits
+    tracemalloc.start()
+    try:
+        counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert counts.sum() == samples
+    assert peak <= estimate
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pair7_a, pair7_b):
     # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
     model = ErrorModel(0.05, 0.03, 0.01)
-    samples, seed, jobs = 5 * (2 * repeater.MC_CHUNK_ROWS + 1) + 3, 99, 5
+    samples, seed, jobs = 5 * (2 * (1 << 15) + 1) + 3, 99, 5
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many more thread switches than the default
     try:
@@ -542,7 +569,7 @@ def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pai
     finally:
         sys.setswitchinterval(interval)
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, dense_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
+    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
 
 
 def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pair7_b):
@@ -563,7 +590,7 @@ def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pa
 
     monkeypatch.setattr(repeater, "ThreadPoolExecutor", SerialExecutor)
     model = ErrorModel(0.1, 0.1, 0.05)
-    reference = dense_reference_counts(pair7_a, pair7_b, model, 20, 77, 20)
+    reference = stream_reference_counts(pair7_a, pair7_b, model, 20, 77, 20)
     cores = repeater._usable_cores()
     assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
     assert seen == [min(20, cores)]
@@ -573,14 +600,13 @@ def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pa
 
 
 def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch):
-    # Two workers, each drawing MC_CHUNK_ROWS // 2 rows at a time, with every entry a hit.
+    # Two workers, each drawing MC_BATCH_HITS // 2 pairs at a time, with every entry a hit.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
-    estimate = repeater.MC_CHUNK_ROWS * (repeater.MC_BYTES_PER_ENTRY * qa.n
-                                         + repeater.MC_BYTES_PER_ROW)
-    for samples in (repeater.MC_CHUNK_ROWS, 4 * repeater.MC_CHUNK_ROWS):
+    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
+    for samples in (1 << 15, 1 << 17):
         tracemalloc.start()  # traces the allocations of every thread
         try:
             counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 2)
@@ -589,6 +615,78 @@ def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch
             tracemalloc.stop()
         assert counts.sum() == samples
         assert peak <= estimate, samples
+
+
+@pytest.mark.parametrize("cores", [1, 2])
+def test_montecarlo_counts_do_not_depend_on_batch_size(cores, monkeypatch, pair7_a, pair7_b):
+    # A batch of 1 or 7 pairs carries nearly every hit row over to the next batch.
+    monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
+    model = ErrorModel(0.1, 0.1, 0.05)
+    samples, seed, jobs = 3000, 11, 2
+    counts = {}
+    for batch in (1, 7, repeater.MC_BATCH_HITS):
+        monkeypatch.setattr(repeater, "MC_BATCH_HITS", batch)
+        counts[batch] = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
+    reference = stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs)
+    assert all(np.array_equal(c, reference) for c in counts.values())
+
+
+def test_montecarlo_without_hits_draws_nothing(monkeypatch, pair7_a, pair7_b):
+    def no_generator(*args, **kwargs):
+        raise AssertionError("h = 0 must construct no Generator")
+
+    monkeypatch.setattr(np.random, "default_rng", no_generator)
+    monkeypatch.setattr(np.random, "Generator", no_generator)
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, ErrorModel(0.0, 0.0, 0.0), 12345, 3, 4)
+    expected = np.zeros((4, 4), dtype=np.int64)
+    expected[0, 0] = 12345
+    assert counts.dtype == np.int64
+    assert np.array_equal(counts, expected)
+
+
+def within(count, trials, p, sigmas=5.0):
+    """Whether a Binomial(trials, p) count lies within `sigmas` standard deviations of its mean."""
+    return abs(count - trials * p) <= sigmas * np.sqrt(trials * p * (1 - p))
+
+
+def test_channel_hits_follow_the_channel_law():
+    """Hit rate per qubit, species split and gap law of the drawn hits, each within 5 sigma.
+
+    Read through `_channel_hits` only, against the channel's probabilities:
+    an off-by-one gap or swapped species thresholds in the sampler, which
+    the stream reference would copy, fail here.
+    """
+    model = ErrorModel(0.05, 0.03, 0.02)
+    f1, f2, f3, h = model.f1, model.f2, model.f3, model.hit_rate
+    n, entries = 7, 2_100_000
+    pairs = np.random.default_rng(20261019).random((int(entries * h * 1.05), 2))
+    gaps, z, x = repeater._channel_hits(pairs, model)
+    entry = np.cumsum(gaps) - 1
+    assert entry[-1] >= entries
+    inside = entry < entries
+    entry, z, x, gaps = entry[inside], z[inside], x[inside], gaps[inside]
+    assert (z | x).all()
+    per_qubit = np.bincount(entry % n, minlength=n)
+    assert all(within(c, entries // n, h) for c in per_qubit), per_qubit
+    hits = entry.size
+    for count, p in ((np.sum(z & ~x), f1), (np.sum(x & ~z), f2), (np.sum(z & x), f3)):
+        assert within(count, hits, p / h), (count, hits, p / h)
+    histogram = np.bincount(gaps, minlength=41)
+    assert histogram[0] == 0
+    for g in range(1, 41):
+        assert within(histogram[g], hits, (1 - h) ** (g - 1) * h), g
+    assert within(histogram[41:].sum(), hits, (1 - h) ** 40)
+
+
+@pytest.mark.parametrize("f", [(0.02, 0.005, 0.001), (0.05, 0.0, 0.0), (0.3, 0.3, 0.4)])
+def test_montecarlo_cells_match_exact_breakdown(f, pair7_a, pair7_b):
+    model = ErrorModel(*f)
+    samples = 200_000
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, 1919, 2)
+    exact = repeater._exact_breakdown(pair7_a, pair7_b, model)
+    for cell in np.ndindex(exact.shape):
+        p = min(max(exact[cell], 0.0), 1.0)
+        assert within(counts[cell], samples, p), (cell, counts[cell], samples * p)
 
 
 # -- perfect codes: known answers from weight enumerators -------------------------
