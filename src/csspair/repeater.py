@@ -621,10 +621,10 @@ def load_config(path) -> ProtocolConfig:
     for lineno, line in gf2._parse_file(path, gf2.content_lines):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
+        typed, _, value = line.partition("=")
+        key = typed.strip().lower()
         if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown config key {key.strip()!r}", line=lineno)
+            raise ParseError(f"unknown config key {typed.strip()!r}", line=lineno)
         if key in values:
             raise ParseError(f"duplicate config key {key!r}", line=lineno)
         values[key] = value.strip()

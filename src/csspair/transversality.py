@@ -32,15 +32,16 @@ gate-then-encode on every joint basis entry of all logical basis pairs,
 in the order the checkers pick witnesses.  An encoded basis ket is
 uniform over one coset x_psi + span(x_stab), so the oracles hold each
 ket as its sorted support and compare supports and signs exactly; they
-read only x_stab and enc_a.  Pairs that would visit more than 2^24
-joint entries, 2^(2k + rx_A + rx_B) with rx the X-stabilizer rank,
-raise CapacityError before anything is allocated.
+read only x_stab and enc_a.  A basis pair either matches or differs,
+and they stop at the first that differs; by linearity the 4^k basis
+pairs decide every input, superpositions included.  Pairs that would
+visit more than 2^24 joint entries, 2^(2k + rx_A + rx_B) with rx the
+X-stabilizer rank, raise CapacityError before anything is allocated.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 from typing import NamedTuple
 
 import numpy as np
@@ -56,7 +57,6 @@ from .errors import (
 )
 from .gf2 import BitMatrix
 
-ORACLE_TOL = 1e-12
 # Joint entries an oracle call may visit, as a power of two: the amplitudes the dense
 # state-vector oracle held per basis pair at its n = 12 limit.
 _ORACLE_MAX_ENTRY_BITS = 24
@@ -105,6 +105,17 @@ def _witness_dict(witness: Witness | None) -> dict | None:
 
 
 class OracleResult(NamedTuple):
+    """Outcome of one brute-force oracle call.
+
+    On a pass: ok is True, witness is None, max_deviation is 0.0 and
+    pairs_checked is 4^k, every logical basis pair.  On a failure: ok is
+    False, witness is the first basis pair (psi_a, psi_b) in
+    lexicographic order on which the gate differs, max_deviation is the
+    amplitude that pair is off by on a differing joint entry (a*b for
+    CNOT, 2*a*b for a CZ sign flip, a and b the two kets' amplitudes),
+    and pairs_checked is the pair's index plus one, i * 2^k + j + 1.
+    """
+
     ok: bool
     witness: Witness | None
     max_deviation: float
@@ -114,6 +125,11 @@ class OracleResult(NamedTuple):
 def _unit(k: int, j: int | None = None) -> tuple[int, ...]:
     """The logical vector e_j of length k, or the zero vector when j is None."""
     return tuple(int(i == j) for i in range(k))
+
+
+def _bits(x: int, k: int) -> tuple[int, ...]:
+    """The logical vector of length k with index x, first coordinate most significant."""
+    return tuple(x >> (k - 1 - b) & 1 for b in range(k))
 
 
 def _last(mask: np.ndarray) -> int:
@@ -363,7 +379,7 @@ def _gate_matches(va: np.ndarray, wb: np.ndarray, cz: bool, expected) -> bool:
     return True
 
 
-def _oracle(qa: CssCode, qb: CssCode, tol: float, cz: bool) -> OracleResult:
+def _oracle(qa: CssCode, qb: CssCode, cz: bool) -> OracleResult:
     """Both oracles' loop.  With kets in `logical_kets` order, psi_a + psi_b
     is index i ^ j and psi_a . psi_b is the parity of i & j.
 
@@ -372,62 +388,43 @@ def _oracle(qa: CssCode, qb: CssCode, tol: float, cz: bool) -> OracleResult:
     2*a*b (CZ: a sign flip), as in a dense amplitude comparison.
     """
     _oracle_precheck(qa, qb)
-    psis = list(product((0, 1), repeat=qa.k))
+    k = qa.k
     supports_a, amp_a = _coset_supports(qa)
     supports_b, amp_b = _coset_supports(qb)
-    joint = float(amp_a * amp_b)
-    worst = 0.0
-    pairs = 0
     for i, va in enumerate(supports_a):
         for j, wb in enumerate(supports_b):
-            pairs += 1
-            if cz:
-                dev = 0.0 if _gate_matches(va, wb, True, (i & j).bit_count() & 1) else 2 * joint
-            else:
-                dev = 0.0 if _gate_matches(va, wb, False, supports_b[i ^ j]) else joint
-            worst = max(worst, dev)
-            if dev > tol:
-                return OracleResult(False, (psis[i], psis[j]), dev, pairs)
-    if cz:
-        # Superposition input: all logical kets at once on both sides.  Each
-        # joint entry carries (s*a)*(s*b) after the gate against (a*b)/2^k
-        # expected, with equal signs where no basis pair flipped one.  A flip
-        # would make the deviation their sum, at most 2*a*b: the flipped basis
-        # pair's own deviation, already in `worst` and within tol.
-        pairs += 1
-        scale = 1.0 / np.sqrt(len(psis))
-        dev = abs(float((scale * amp_a) * (scale * amp_b)) - joint / len(psis))
-        worst = max(worst, dev)
-        if dev > tol:
-            return OracleResult(False, None, dev, pairs)
-    return OracleResult(True, None, worst, pairs)
+            expected = (i & j).bit_count() & 1 if cz else supports_b[i ^ j]
+            if not _gate_matches(va, wb, cz, expected):
+                joint = float(amp_a * amp_b)
+                return OracleResult(False, (_bits(i, k), _bits(j, k)),
+                                    2 * joint if cz else joint, i * 2**k + j + 1)
+    return OracleResult(True, None, 0.0, 4**k)
 
 
-def oracle_cnot(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResult:
+def oracle_cnot(qa: CssCode, qb: CssCode) -> OracleResult:
     """Exhaustive state-vector certification of pairwise-CNOT transversality.
 
     For every logical basis pair (psi_a, psi_b), in lexicographic order,
     compares gating the encoded states against encoding the gated
     logicals |psi_a> (x) |psi_a + psi_b>: every control support entry v
     must take the target support to v ^ support(psi_b) =
-    support(psi_a + psi_b).  The first pair off by more than tol is the
-    witness.  Work and capacity follow the 2^(2k + rx_A + rx_B) joint
-    entries visited.
+    support(psi_a + psi_b).  The first pair that differs is the witness.
+    Work and capacity follow the 2^(2k + rx_A + rx_B) joint entries
+    visited.
     """
-    return _oracle(qa, qb, tol, cz=False)
+    return _oracle(qa, qb, cz=False)
 
 
-def oracle_cz(qa: CssCode, qb: CssCode, tol: float = ORACLE_TOL) -> OracleResult:
+def oracle_cz(qa: CssCode, qb: CssCode) -> OracleResult:
     """Exhaustive state-vector certification of pairwise-CZ transversality.
 
     Basis pairs are compared in the same order with the exact sign
     (-1)^(psi_a . psi_b), which the parity of v & w must match on every
-    joint support entry (v, w); if all pass, a uniform-superposition
-    input is checked as one more pair, where a phase error that is
-    constant on basis states would also surface.  Work and capacity
-    follow the 2^(2k + rx_A + rx_B) joint entries visited.
+    joint support entry (v, w); the first pair that differs is the
+    witness.  Work and capacity follow the 2^(2k + rx_A + rx_B) joint
+    entries visited.
     """
-    return _oracle(qa, qb, tol, cz=True)
+    return _oracle(qa, qb, cz=True)
 
 
 def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:

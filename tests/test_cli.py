@@ -77,6 +77,15 @@ def test_check_cz_with_sufficient(capsys, fixtures_dir, tmp_path):
     assert payload["sufficient"]["verdict"] is True
 
 
+def test_check_cz_oracle_pass_reports_exact_basis_pairs(capsys, fixtures_dir):
+    # Steane with itself, k = 1: a pass reads 4^k basis pairs and no deviation.
+    steane = str(fixtures_dir / "steane.code")
+    code, out, _ = run_cli(capsys, "check-cz", "--oracle", steane, steane)
+    assert code == 0
+    assert json.loads(out)["oracle"] == {"max_amplitude_deviation": 0.0, "ok": True,
+                                         "pairs_checked": 4, "witness": None}
+
+
 def test_mirror_rejects_bad_inputs(capsys, tmp_path):
     bad = tmp_path / "bad.mat"
     bad.write_text("# format=1\n1 3\n110\n")

@@ -2,10 +2,12 @@
 
 `_dense_oracle` is the loop the library ran on full 2^(2n) amplitude
 arrays, built here from the public `statevec` layer.  Wherever it runs
-(n <= 10 in these tests) the library's `OracleResult` must equal it
-field for field, `repr(max_deviation)` included.  Above n = 12, where
-the dense arrays no longer fit, the oracles must still agree with the
-algebraic checkers.
+(n <= 10 in these tests) the library's `OracleResult` must equal its
+basis-pair loop field for field, `repr(max_deviation)` included, and
+on every CZ pass its uniform-superposition input must agree as well,
+which the library leaves to linearity.  Above n = 12, where the dense
+arrays no longer fit, the oracles must still agree with the algebraic
+checkers.
 """
 
 from itertools import product
@@ -31,9 +33,13 @@ from conftest import STANDARD_SELF_PAIRS, cyclic_code
 DENSE_MAX_N = 10
 
 
-def _dense_oracle(qa, qb, tol, cz) -> OracleResult:
+def _dense_oracle(qa, qb, cz) -> tuple[OracleResult, float | None]:
     """Both oracles on dense state vectors: gate tensor(ket_a, ket_b) and compare
-    with the expected state amplitude-wise, basis pairs in lexicographic order."""
+    with the expected state amplitude-wise, basis pairs in lexicographic order.
+    Beside the basis-pair result stands the deviation of the uniform-superposition
+    input on a CZ pass, None otherwise."""
+    # Dense amplitudes round; a failing pair is off by a*b >= 2^-10 at n <= 10.
+    tol = 1e-12
     transversality._oracle_precheck(qa, qb)
     assert qa.n <= DENSE_MAX_N
     n = qa.n
@@ -56,9 +62,9 @@ def _dense_oracle(qa, qb, tol, cz) -> OracleResult:
             dev = statevec.max_amplitude_deviation(gated, expected)
             worst = max(worst, dev)
             if dev > tol:
-                return OracleResult(False, (psis[i], psis[j]), dev, pairs)
+                return OracleResult(False, (psis[i], psis[j]), dev, pairs), None
+    result = OracleResult(True, None, worst, pairs)
     if cz:
-        pairs += 1
         scale = 1.0 / np.sqrt(len(psis))
         plus_a = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_a], axis=0), check=False)
         plus_b = statevec.StateVector(n, scale * np.sum([s.amp for s in kets_b], axis=0), check=False)
@@ -69,11 +75,8 @@ def _dense_oracle(qa, qb, tol, cz) -> OracleResult:
                 expected_amp += (-1.0) ** (i & j).bit_count() * statevec.tensor(ket_a, ket_b).amp
         expected_amp /= len(psis)
         expected = statevec.StateVector(2 * n, expected_amp, check=False)
-        dev = statevec.max_amplitude_deviation(gated, expected)
-        worst = max(worst, dev)
-        if dev > tol:
-            return OracleResult(False, None, dev, pairs)
-    return OracleResult(True, None, worst, pairs)
+        return result, statevec.max_amplitude_deviation(gated, expected)
+    return result, None
 
 
 def _outcome(call):
@@ -85,10 +88,19 @@ def _outcome(call):
     return res.ok, res.witness, repr(res.max_deviation), res.pairs_checked
 
 
+def _dense_outcome(qa, qb, cz):
+    """`_outcome` of `_dense_oracle`'s basis-pair result, and its superposition deviation."""
+    try:
+        res, superposition = _dense_oracle(qa, qb, cz)
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc)), None
+    return _outcome(lambda: res), superposition
+
+
 @pytest.fixture(scope="module")
 def dense_corpus(pair7_a, pair7_b, pair7_counterexample, steane):
     """The 16 ordered fixture pairs, 360 random pairs at n = 4-8, and odd-k
-    mirrored pairs at n <= 10, whose CZ superposition leaves a rounding residue."""
+    mirrored pairs at n <= 10, whose dense CZ superposition leaves a rounding residue."""
     codes = [pair7_a, pair7_b, pair7_counterexample, steane]
     pairs = [(qa, qb) for qa in codes for qb in codes]
     rng = np.random.default_rng(2024)
@@ -101,46 +113,45 @@ def dense_corpus(pair7_a, pair7_b, pair7_counterexample, steane):
 
 @pytest.fixture(scope="module")
 def dense_outcomes(dense_corpus):
-    """`_dense_oracle` outcomes on the corpus, computed once per (gate, tol)."""
+    """`_dense_outcome` on the corpus, computed once per gate."""
     cache = {}
 
-    def outcomes(gate, tol):
-        if (gate, tol) not in cache:
-            cache[gate, tol] = [_outcome(lambda: _dense_oracle(qa, qb, tol, gate == "cz"))
-                                for qa, qb in dense_corpus]
-        return cache[gate, tol]
+    def outcomes(gate):
+        if gate not in cache:
+            cache[gate] = [_dense_outcome(qa, qb, gate == "cz") for qa, qb in dense_corpus]
+        return cache[gate]
     return outcomes
 
 
 ORACLES = {"cnot": oracle_cnot, "cz": oracle_cz}
 
 
-@pytest.mark.parametrize("tol", [transversality.ORACLE_TOL, 1.0])
 @pytest.mark.parametrize("gate", ["cnot", "cz"])
-def test_oracle_matches_dense_reference(gate, tol, dense_corpus, dense_outcomes):
-    outcomes = [_outcome(lambda: ORACLES[gate](qa, qb, tol)) for qa, qb in dense_corpus]
-    for pair, got, want in zip(dense_corpus, outcomes, dense_outcomes(gate, tol)):
+def test_oracle_matches_dense_reference(gate, dense_corpus, dense_outcomes):
+    outcomes = [_outcome(lambda: ORACLES[gate](qa, qb)) for qa, qb in dense_corpus]
+    for pair, got, (want, superposition) in zip(dense_corpus, outcomes, dense_outcomes(gate)):
         assert got == want, pair
+        if got[0] is True:
+            assert got == (True, None, "0.0", 4**pair[0].k), pair
+        if gate == "cz" and got[0] is True:
+            # The superposition input, which the basis pairs decide by linearity.
+            assert superposition < 1e-15, pair
+        else:
+            assert superposition is None, pair
     results = [o for o in outcomes if len(o) == 4]
     assert len(results) < len(outcomes)  # unequal k raises the same error on both sides
-    deviations = {float(dev) for ok, _, dev, _ in results if ok}
-    if tol == 1.0:
-        # Mismatched pairs within tol: passes that report their deviation.
-        assert any(d > 0.1 for d in deviations)
-    else:
-        assert any(not ok for ok, *_ in results) and deviations
+    assert any(not ok for ok, *_ in results) and any(ok for ok, *_ in results)
     if gate == "cz":
-        # Odd k: the superposition pair's (s*a)*(s*b) and (a*b)/2^k differ in the last bits.
-        assert any(0.0 < d < 1e-15 for d in deviations)
+        # Odd k: the dense (s*a)*(s*b) and (a*b)/2^k differ in the last bits.
+        assert any(superposition for _, superposition in dense_outcomes(gate))
 
 
 @pytest.mark.parametrize("gate", ["cnot", "cz"])
 def test_oracle_blocks_match_dense_reference(gate, dense_corpus, dense_outcomes, monkeypatch):
     """With one control-support entry per block, a mismatch in any block still counts."""
     monkeypatch.setattr(transversality, "_ORACLE_BLOCK_ENTRIES", 1)
-    tol = transversality.ORACLE_TOL
-    for pair, want in zip(dense_corpus, dense_outcomes(gate, tol)):
-        assert _outcome(lambda: ORACLES[gate](*pair, tol)) == want, pair
+    for pair, (want, _) in zip(dense_corpus, dense_outcomes(gate)):
+        assert _outcome(lambda: ORACLES[gate](*pair)) == want, pair
 
 
 def test_former_dense_limit_pair_certifies():
@@ -195,6 +206,8 @@ def test_checker_oracle_agreement_past_dense_limit():
             rep, res = checker(qa, qb), oracle(qa, qb)
             assert rep.verdict == res.ok, (qa.n, gate)
             assert rep.witness == res.witness, (qa.n, gate)
+            if res.ok:
+                assert res == (True, None, 0.0, 4**qa.k), (qa.n, gate)
             verdicts[gate].append(res.ok)
     for gate, oks in verdicts.items():
         assert any(oks) and not all(oks), gate

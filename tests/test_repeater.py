@@ -269,6 +269,9 @@ def test_config_loader_errors(tmp_path, fixtures_dir):
     bad.write_text("codeA=steane.code\ncodeB=steane.code\nwat=1\n")
     with pytest.raises(ParseError, match="unknown config key"):
         load_config(bad)
+    bad.write_text("codeA=steane.code\ncodeB=steane.code\nJobZ=2\n")
+    with pytest.raises(ParseError, match="line 3: unknown config key 'JobZ'"):
+        load_config(bad)
     missing = tmp_path / "missing.cfg"
     missing.write_text("f1=0.01\n")
     with pytest.raises(ParseError, match="missing config key"):

@@ -322,11 +322,11 @@ def test_oracle_stops_at_checker_witness_in_lexicographic_order(gate, equal_k_co
     """The oracle visits basis pairs in lexicographic order and stops at the first failure.
 
     That first failure is the checker's witness; a pass checks all 4^k
-    pairs, plus the superposition input for CZ.
+    pairs and nothing more, for either gate.
     """
-    checker, oracle, extra = {
-        "cnot": (check_cnot_transversal, oracle_cnot, 0),
-        "cz": (check_cz_transversal, oracle_cz, 1),
+    checker, oracle = {
+        "cnot": (check_cnot_transversal, oracle_cnot),
+        "cz": (check_cz_transversal, oracle_cz),
     }[gate]
     passes = late_failures = 0
     for qa, qb in equal_k_corpus:
@@ -335,7 +335,7 @@ def test_oracle_stops_at_checker_witness_in_lexicographic_order(gate, equal_k_co
         assert rep.witness == res.witness
         if res.ok:
             passes += 1
-            assert res.pairs_checked == 4**qa.k + extra
+            assert res.pairs_checked == 4**qa.k
         else:
             index = int("".join(map(str, res.witness[0] + res.witness[1])), 2)
             assert res.pairs_checked == index + 1
