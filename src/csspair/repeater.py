@@ -35,7 +35,7 @@ import math
 import os
 import secrets
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
 from weakref import WeakKeyDictionary
 
@@ -71,7 +71,7 @@ MC_MAX_GAP = 1 << 32
 
 
 class _BadValue(ValueError):
-    """A rejected setting, naming the config keys whose values conflict."""
+    """A rejected setting, naming the config keys (codeA, N, ...) whose values conflict."""
 
     def __init__(self, message: str, *keys: str):
         super().__init__(message)
@@ -82,9 +82,9 @@ class _BadValue(ValueError):
 class ErrorModel:
     """Per-qubit-pair mixture weights (f1: Z on A, f2: X on B, f3: both)."""
 
-    f1: float
-    f2: float
-    f3: float
+    f1: float = 0.0
+    f2: float = 0.0
+    f3: float = 0.0
 
     def __post_init__(self):
         for name in ("f1", "f2", "f3"):
@@ -258,10 +258,10 @@ class ProtocolConfig:
 
     def __post_init__(self):
         if self.qa.n != self.qb.n:
-            raise _BadValue("station codes must share the block length", "codea", "codeb")
+            raise _BadValue("station codes must share the block length", "codeA", "codeB")
         if self.qa.k != self.qb.k:
             raise _BadValue("the protocol pairs logical qubits one-to-one; k must match",
-                            "codea", "codeb")
+                            "codeA", "codeB")
         if self.mode not in ("exact", "montecarlo"):
             raise _BadValue(f"unknown mode {self.mode!r}", "mode")
         if self.mode == "montecarlo" and self.samples < 1:
@@ -271,7 +271,7 @@ class ProtocolConfig:
         for name, count in (("seed", self.seed), ("N", self.raw_pairs_n),
                             ("samples", self.samples)):
             if count is not None and count < 0:
-                raise _BadValue(f"{name} must be nonnegative", name.lower())
+                raise _BadValue(f"{name} must be nonnegative", name)
         if self.mode == "exact":  # the report would echo a setting that never ran
             for name, unused in (("samples", self.samples != 0), ("seed", self.seed is not None),
                                  ("jobs", self.jobs != 1)):
@@ -593,8 +593,6 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
 
 # -- config files -----------------------------------------------------------------
 
-_CONFIG_KEYS = {"f1", "f2", "f3", "mode", "samples", "seed", "codea", "codeb", "n",
-                "override", "jobs"}
 _SWITCHES = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 
 
@@ -605,68 +603,70 @@ def _switch(text: str) -> bool:
     return _SWITCHES[text.lower()]
 
 
+def _code(text: str, folder: Path) -> CssCode:
+    """The code in file `text`, a path relative to `folder`, named as written."""
+    return load_css(folder / text, name=text)
+
+
+# Each config key, spelled as documented: the dataclass and field it sets, and the
+# field's parser.  A key the file omits keeps the field's default; a field without
+# one makes its key required.
+_CONFIG_KEYS = {
+    "codeA": (ProtocolConfig, "qa", _code),
+    "codeB": (ProtocolConfig, "qb", _code),
+    "f1": (ErrorModel, "f1", float),
+    "f2": (ErrorModel, "f2", float),
+    "f3": (ErrorModel, "f3", float),
+    "mode": (ProtocolConfig, "mode", str),
+    "samples": (ProtocolConfig, "samples", int),
+    "seed": (ProtocolConfig, "seed", int),
+    "N": (ProtocolConfig, "raw_pairs_n", int),
+    "override": (ProtocolConfig, "allow_nontransversal", _switch),
+    "jobs": (ProtocolConfig, "jobs", int),
+}
+
+
 def load_config(path) -> ProtocolConfig:
     """Parse a key=value config file into a ProtocolConfig.
 
-    Recognized keys: f1 f2 f3 mode samples seed codeA codeB N override
-    jobs.  Keys are case-blind and may appear once.  Code paths are
-    resolved relative to the config file.  A bad value is reported at
-    its line; values that conflict (f1 + f2 + f3 above 1, say) at the
-    last line among them.
+    Recognized keys: codeA codeB f1 f2 f3 mode samples seed N override
+    jobs.  Keys are case-blind and may appear once; an unknown or
+    repeated key is named as typed, a missing one as documented here.
+    Code paths are resolved relative to the config file.  Values are
+    parsed in file order, and the first that fails (a code file that
+    cannot be read or parsed included) is reported at its line.  The
+    dataclasses then check the values; one they refuse is reported at
+    its line, and values that conflict (f1 + f2 + f3 above 1, say) at
+    the last line among them.
     """
     path = Path(path)
-    values: dict[str, str] = {}
-    lines: dict[str, int] = {}
-    texts: dict[str, str] = {}
+    given: dict[str, tuple[int, str, str]] = {}  # key: (line number, line, value)
     for lineno, line in gf2._parse_file(path, gf2.content_lines):
         if "=" not in line:
             raise ParseError(f"expected key=value, got {line!r}", line=lineno)
         typed, _, value = line.partition("=")
-        key = typed.strip().lower()
-        if key not in _CONFIG_KEYS:
-            raise ParseError(f"unknown config key {typed.strip()!r}", line=lineno)
-        if key in values:
-            raise ParseError(f"duplicate config key {key!r}", line=lineno)
-        values[key] = value.strip()
-        lines[key] = lineno
-        texts[key] = line
-    for required in ("codea", "codeb"):
-        if required not in values:
-            raise ParseError(f"missing config key {required}")
-
-    def parsed(key: str, convert, default):
-        """The value of `key` through `convert`, or default when the file omits it."""
-        if key not in values:
-            return default
+        typed = typed.strip()
+        key = next((key for key in _CONFIG_KEYS if key.lower() == typed.lower()), None)
+        if key is None:
+            raise ParseError(f"unknown config key {typed!r}", line=lineno)
+        if key in given:
+            raise ParseError(f"duplicate config key {typed!r}", line=lineno)
+        given[key] = (lineno, line, value.strip())
+    for key, (cls, name, _) in _CONFIG_KEYS.items():
+        if key not in given and next(f for f in fields(cls) if f.name == name).default is MISSING:
+            raise ParseError(f"missing config key {key}")
+    settings: dict[type, dict] = {ErrorModel: {}, ProtocolConfig: {}}
+    for key, (lineno, line, text) in given.items():
+        cls, name, parse = _CONFIG_KEYS[key]
+        is_code = parse is _code
         try:
-            return convert(values[key])
-        except ValueError as exc:
-            raise ParseError(f"bad config value: {exc}", line=lines[key]) from exc
-
-    def code(key: str) -> CssCode:
-        """The code file `key` names; its errors name the file and the key's line."""
-        try:
-            return load_css(path.parent / values[key], name=values[key])
-        except ValueError as exc:
-            raise ParseError(f"{texts[key]}: {exc}", line=lines[key]) from exc
-
+            settings[cls][name] = parse(text, path.parent) if is_code else parse(text)
+        except (OSError, ValueError) as exc:
+            message = f"{line}: {exc}" if is_code else f"bad config value: {exc}"
+            raise ParseError(message, line=lineno) from exc
     try:
-        model = ErrorModel(
-            f1=parsed("f1", float, 0.0),
-            f2=parsed("f2", float, 0.0),
-            f3=parsed("f3", float, 0.0),
-        )
-        return ProtocolConfig(
-            qa=code("codea"),
-            qb=code("codeb"),
-            model=model,
-            mode=values.get("mode", "exact"),
-            samples=parsed("samples", int, 0),
-            seed=parsed("seed", int, None),
-            raw_pairs_n=parsed("n", int, None),
-            allow_nontransversal=parsed("override", _switch, False),
-            jobs=parsed("jobs", int, 1),
-        )
+        return ProtocolConfig(model=ErrorModel(**settings[ErrorModel]),
+                              **settings[ProtocolConfig])
     except _BadValue as exc:
-        line = max(lines.get(key, 0) for key in exc.keys)
-        raise ParseError(f"bad config value: {exc}", line=line or None) from exc
+        line = max((given[key][0] for key in exc.keys if key in given), default=None)
+        raise ParseError(f"bad config value: {exc}", line=line) from exc

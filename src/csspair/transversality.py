@@ -430,24 +430,18 @@ def oracle_cz(qa: CssCode, qb: CssCode) -> OracleResult:
 def find_cnot_encoding(qa: CssCode, qb: CssCode) -> BitMatrix | None:
     """A single representative matrix usable by both codes, if one exists.
 
-    Returns A* with rows inside C1 ∩ C3, independent modulo dual(C4)
-    (hence also modulo dual(C2)); installing A* as the encoding of both
-    codes makes the pair CNOT-transversal.  Returns None when the
-    containment dual(C2) ⊆ dual(C4) fails or the intersection is too
-    small to supply k independent cosets.
+    Installing it as the encoding of both codes makes the pair
+    CNOT-transversal.  One exists exactly when the codes share k,
+    dual(C2) ⊆ dual(C4), C1 ⊆ C3 and C1 ∩ dual(C4) = dual(C2): a shared
+    A* spans C1 modulo dual(C2) inside C3 and stays independent modulo
+    dual(C4).  Then qa's own representatives encode qb too, so they are
+    returned; otherwise None.
     """
     _require_same_length(qa, qb)
-    if qa.k != qb.k:
+    if qa.k != qb.k or not gf2.subspace_leq(qa.x_stab, qb.x_stab):
         return None
-    if not gf2.subspace_leq(qa.x_stab, qb.x_stab):
-        return None
-    # Fast path: the control code's encoding, if it is also a valid encoding of qb.
     try:
         with_encoding(qb, qa.enc_a)
     except EncodingError:
-        pass
-    else:
-        return qa.enc_a
-    shared = gf2.rowspace_intersection(qa.c1.gen, qb.c1.gen)
-    kept = gf2.independent_rows(shared, modulo=qb.x_stab)
-    return kept if kept.rows == qa.k else None
+        return None
+    return qa.enc_a

@@ -1,8 +1,9 @@
 """The benchmark's own output check, on every workload that BENCHMARK.json lists.
 
-Each workload runs once at the default seed with no timed phase:
+Each workload runs once at the default seed with no timed phase, and
+with every warning an error, as in the in-process tests:
 
-    python3 perfbench/run.py --workload W --seed 1 --seconds 0 --trace 0
+    python3 -W error perfbench/run.py --workload W --seed 1 --seconds 0 --trace 0
 
 At that seed every op's output is compared with perfbench/reference.json,
 so a changed sampler draw or report field fails here.  The run happens
@@ -28,8 +29,8 @@ def test_benchmark_outputs_correct(workload, tmp_path):
         shutil.copytree(ROOT / part, tmp_path / part,
                         ignore=shutil.ignore_patterns("out", "__pycache__"))
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "1",
-         "--seconds", "0", "--trace", "0"],
+        [sys.executable, "-W", "error", "perfbench/run.py", "--workload", workload,
+         "--seed", "1", "--seconds", "0", "--trace", "0"],
         cwd=tmp_path, capture_output=True, text=True, timeout=600,
     )
     assert proc.returncode == 0, proc.stderr

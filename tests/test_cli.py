@@ -1,6 +1,8 @@
 """Command-line interface: subcommands, exit codes, report determinism."""
 
+import errno
 import json
+import os
 import resource
 import subprocess
 import sys
@@ -8,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from csspair import BitMatrix, cli, load_css, repeater, save_css
+from csspair import BitMatrix, cli, load_css, repeater, save_css, with_encoding
 from csspair.cli import main
 from csspair.sampling import random_cnot_pair, scramble_encoding
 
@@ -44,6 +46,23 @@ def test_check_cnot_strict_mode_flag(capsys, fixtures_dir):
                            "--mode", "strict")
     assert code == 0
     assert json.loads(out)["conditions"]["A_eq_B"] is True
+
+
+def test_check_cnot_strict_false_beside_oracle_pass_agrees(capsys, fixtures_dir, tmp_path,
+                                                          pair7_b):
+    # B's first representative shifted by its third X check: the same cosets, so the
+    # oracle passes, while the sufficient strict check fails.  That is no disagreement.
+    shifted = pair7_b.enc_a.a.copy()
+    shifted[0] ^= pair7_b.x_stab.a[2]
+    save_css(with_encoding(pair7_b, BitMatrix(shifted)), tmp_path / "shifted_b.code")
+    code, out, _ = run_cli(capsys, "check-cnot", str(fixtures_dir / "pair7_station_a.code"),
+                           str(tmp_path / "shifted_b.code"), "--mode", "strict", "--oracle")
+    assert code == 1
+    payload = json.loads(out)
+    assert payload["verdict"] is False
+    assert payload["oracle"]["ok"] is True
+    assert payload["checker_oracle_agree"] is True
+    assert "warning" not in payload
 
 
 def test_check_cnot_counterexample_exits_1(capsys, fixtures_dir):
@@ -183,6 +202,15 @@ def test_distance_classical(capsys, tmp_path):
     assert json.loads(out) == {"format": 1, "n": 7, "k": 4, "d": 3}
 
 
+def test_distance_classical_warns_on_dependent_rows(capsys, tmp_path):
+    mat = tmp_path / "ham.mat"
+    mat.write_text("5 7\n1000011\n0100101\n0010110\n0001111\n1100110\n")
+    code, out, _ = run_cli(capsys, "distance", str(mat))
+    assert code == 0
+    assert json.loads(out) == {"format": 1, "n": 7, "k": 4, "d": 3,
+                               "warning": "generator rows were dependent; reduced"}
+
+
 def test_distance_of_matrix_without_rows_names_the_file(capsys, tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "zero.mat").write_text("0 4\n")
@@ -228,6 +256,15 @@ def test_simulate_sweep_csv_monotone(capsys, fixtures_dir):
     fids = [float(line.split(",")[6]) for line in lines[1:]]
     assert len(fids) == 5
     assert all(a >= b for a, b in zip(fids, fids[1:]))
+
+
+def test_simulate_sweep_out_writes_the_csv(capsys, fixtures_dir, tmp_path):
+    argv = ("simulate", str(fixtures_dir / "sim_zero_noise.cfg"), "--sweep", "f1=0:0.02:0.005")
+    _, printed, _ = run_cli(capsys, *argv)
+    target = tmp_path / "sweep.csv"
+    code, out, err = run_cli(capsys, "--out", str(target), *argv)
+    assert (code, out, err) == (0, "", "")
+    assert target.read_text(encoding="utf-8") == printed
 
 
 def test_simulate_sweep_refuses_pretty_before_any_point(capsys, fixtures_dir, monkeypatch):
@@ -368,6 +405,7 @@ def test_simulate_bad_config_value_names_its_line(capsys, fixtures_dir, tmp_path
 @pytest.mark.parametrize("body, key, line", [
     (["f1=0.01", "f1=0.5", "f1=0.02"], "f1", 4),
     (["f1=0.01", "codea=steane.code"], "codea", 4),
+    (["Jobs=1", "JOBS=2"], "JOBS", 4),
 ])
 def test_simulate_duplicate_config_key_names_its_line(capsys, fixtures_dir, tmp_path,
                                                       body, key, line):
@@ -475,6 +513,42 @@ def test_simulate_bad_code_file_names_file_and_config_line(capsys, fixtures_dir,
     assert code == 2
     assert out == ""
     assert err.startswith(f"error: line 6: codeB=bad.code: {where}")
+
+
+@pytest.mark.parametrize("make, errno_", [
+    (lambda target: None, errno.ENOENT),
+    (lambda target: target.mkdir(), errno.EISDIR),
+], ids=["missing", "directory"])
+def test_simulate_unreadable_code_file_names_config_line(capsys, fixtures_dir, tmp_path,
+                                                         make, errno_):
+    make(tmp_path / "bad.code")
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("\n".join(["# a link", f"codeA={fixtures_dir / 'steane.code'}",
+                              "codeB=bad.code", "f1=x"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (2, "")
+    reason = OSError(errno_, os.strerror(errno_), str(tmp_path / "bad.code"))
+    assert err == f"error: line 3: codeB=bad.code: {reason}\n"
+
+
+def test_simulate_codes_of_different_length_exit_2_at_the_later_code_line(capsys, fixtures_dir,
+                                                                          tmp_path):
+    (tmp_path / "short.code").write_text("[C1]\n1 3\n111\n[C2]\n3 3\n100\n010\n001\n")
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("\n".join(["codeB=short.code", "f1=0.01",
+                              f"codeA={fixtures_dir / 'steane.code'}"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: bad config value: station codes must share the block length\n"
+
+
+def test_simulate_config_line_without_equals_exits_2(capsys, fixtures_dir, tmp_path):
+    cfg = tmp_path / "link.cfg"
+    cfg.write_text("\n".join([f"codeA={fixtures_dir / 'steane.code'}", "",
+                              "f1 0.01"]) + "\n")
+    code, out, err = run_cli(capsys, "simulate", str(cfg))
+    assert (code, out) == (2, "")
+    assert err == "error: line 3: expected key=value, got 'f1 0.01'\n"
 
 
 @pytest.mark.parametrize("body", [[], ["codeA=steane.code"], ["f1=0.01", "codeB=steane.code"]])

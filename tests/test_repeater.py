@@ -272,10 +272,24 @@ def test_config_loader_errors(tmp_path, fixtures_dir):
     bad.write_text("codeA=steane.code\ncodeB=steane.code\nJobZ=2\n")
     with pytest.raises(ParseError, match="line 3: unknown config key 'JobZ'"):
         load_config(bad)
+    bad.write_text("codeA=steane.code\nJobs=1\nJOBS=2\n")
+    with pytest.raises(ParseError, match="^line 3: duplicate config key 'JOBS'$"):
+        load_config(bad)
     missing = tmp_path / "missing.cfg"
     missing.write_text("f1=0.01\n")
     with pytest.raises(ParseError, match="missing config key"):
         load_config(missing)
+    missing.write_text("codeA=steane.code\nf1=0.01\n")
+    with pytest.raises(ParseError, match="^missing config key codeB$"):
+        load_config(missing)
+
+
+def test_config_loader_reports_the_first_bad_line(tmp_path, fixtures_dir):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(f"codeA={fixtures_dir / 'steane.code'}\n"
+                   f"codeB={fixtures_dir / 'steane.code'}\nseed=x\nf1=y\n")
+    with pytest.raises(ParseError, match="^line 3: bad config value: .*'x'$"):
+        load_config(cfg)
 
 
 def test_protocol_requires_matching_k(pair7_a, pair7_counterexample):

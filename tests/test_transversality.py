@@ -1,5 +1,6 @@
 """Transversality deciders vs. the state-vector oracles."""
 
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -24,7 +25,8 @@ from csspair import (
     with_encoding,
 )
 from csspair import gf2, sampling, transversality
-from csspair.errors import CapacityError, ContainmentError, DimensionMismatchError
+from csspair.errors import (CapacityError, ContainmentError, DimensionMismatchError,
+                            EncodingError)
 
 from conftest import HAMMING_ROWS, build_pair7_a, build_pair7_b
 
@@ -240,6 +242,57 @@ def test_find_encoding_none_without_containment(pair7_a, pair7_b):
     # Reversed orientation: the target's X checks are strictly larger,
     # so the containment fails in this direction.
     assert find_cnot_encoding(pair7_b, pair7_a) is None
+
+
+def _xor_span(words) -> set[int]:
+    """Every XOR-sum of the packed words, by brute force."""
+    span = {0}
+    for word in words:
+        span |= {s ^ word for s in span}
+    return span
+
+
+def _shared_encoding_exists(qa, qb) -> bool:
+    """Exhaustive search, given dual(C2) ⊆ dual(C4): k words of C1 ∩ C3 whose
+    nonzero sums all lie outside dual(C4), hence outside dual(C2) too."""
+    def words(m):
+        return [gf2.vector_to_int(row) for row in m.a]
+
+    x_b = _xor_span(words(qb.x_stab))
+    shared = _xor_span(words(qa.c1.gen)) & _xor_span(words(qb.c1.gen))
+    return any(len(sums := _xor_span(rows)) == 2**qa.k and not (sums - {0}) & x_b
+               for rows in itertools.combinations(sorted(shared - x_b), qa.k))
+
+
+def test_find_encoding_none_when_control_representatives_miss_the_target():
+    # Pairs with equal k and dual(C2) ⊆ dual(C4) whose control representatives do not
+    # encode the target: no shared encoding exists at all.
+    rng = np.random.default_rng(7)
+    corpus = []
+    for i in range(600):
+        qa, qb = sampling.random_valid_pair(rng, 3 + i % 5)
+        for a, b in ((qa, qb), (qb, qa)):
+            if a.k == b.k and gf2.subspace_leq(a.x_stab, b.x_stab):
+                try:
+                    with_encoding(b, a.enc_a)
+                except EncodingError:
+                    corpus.append((a, b))
+    assert len(corpus) >= 8
+    for qa, qb in corpus:
+        assert find_cnot_encoding(qa, qb) is None
+        assert not _shared_encoding_exists(qa, qb)
+    # The search itself finds the encodings of transversal pairs.
+    for n in range(3, 8):
+        assert _shared_encoding_exists(*sampling.random_cnot_pair(rng, n))
+
+
+def test_find_encoding_none_when_k_differs(steane):
+    # Two of Steane's X checks: the containment holds, but k = 2 against 1.
+    qa = sampling._css_from_x_checks(BitMatrix(steane.x_stab.a[:2]),
+                                     BitMatrix.stack(steane.enc_a, BitMatrix(steane.x_stab.a[2:])))
+    assert (qa.k, steane.k) == (2, 1)
+    assert gf2.subspace_leq(qa.x_stab, steane.x_stab)
+    assert find_cnot_encoding(qa, steane) is None
 
 
 def test_audit_flags_inconsistent_claims(fixtures_dir):
