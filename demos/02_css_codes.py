@@ -14,12 +14,10 @@ from csspair import (
     BitMatrix,
     css_distance,
     load_css,
-    logical_x_representatives,
     logical_z_representatives,
     make_classical,
     make_css,
     min_distance,
-    stabilizer_generators,
 )
 
 # The [7,4] Hamming code contains its dual, so CSS(Hamming, Hamming)
@@ -30,10 +28,11 @@ print("classical Hamming code: n", ham.n, "k", ham.k, "d", min_distance(ham))
 
 steane = make_css(ham, make_classical(BitMatrix.from_strings(HAMMING)))
 print("CSS(Hamming, Hamming):", steane, "distance", css_distance(steane))
-print("stabilizer generators:")
-for gen in stabilizer_generators(steane):
-    print("  ", gen)
-print("logical X support:", logical_x_representatives(steane).row_strings())
+# Each X-check row is a pure-X stabilizer generator, each Z-check row a
+# pure-Z one; row i of A is the support of logical X on qubit i.
+print("X checks:", steane.x_stab.row_strings())
+print("Z checks:", steane.z_stab.row_strings())
+print("logical X support:", steane.enc_a.row_strings())
 print("logical Z support:", logical_z_representatives(steane).row_strings())
 
 # The bundled [[7,2]] pair ships as code files; the loader validates

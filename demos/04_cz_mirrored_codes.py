@@ -15,7 +15,6 @@ from csspair import (
     audit_mirror_claims,
     check_cz_sufficient,
     check_cz_transversal,
-    cz_encodings_for_mirrored,
     load_matrix,
     make_mirrored_pair,
     oracle_cz,
@@ -28,10 +27,8 @@ q1, q2 = make_mirrored_pair(z_checks, x_checks)
 print("mirrored pair:", q1, q2)
 print("default pairing A @ B^T:", (q1.enc_a @ q2.enc_a.T).row_strings())
 
-enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-print("repaired pairing:", (enc_a @ enc_b.T).row_strings())
-
 q1r, q2r = repair_mirrored_encodings(q1, q2)
+print("repaired pairing:", (q1r.enc_a @ q2r.enc_a.T).row_strings())
 print("CZ verdict:", check_cz_transversal(q1r, q2r).verdict)
 print("oracle (includes sign checks):", oracle_cz(q1r, q2r).ok)
 suff = check_cz_sufficient(q1r, q2r)

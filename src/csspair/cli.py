@@ -182,8 +182,6 @@ def _cmd_simulate(args) -> int:
     if args.sweep and args.pretty:
         raise ParseError("--pretty does not apply to --sweep, which prints CSV")
     cfg = repeater.load_config(args.config)
-    if args.jobs is not None:
-        cfg = replace(cfg, jobs=args.jobs)
     if not args.sweep:
         report = repeater.run_local_swapping(cfg)
         _emit(report.to_dict(), args.pretty, args.out)
@@ -291,9 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate", help="simulate the repeater link from a config file")
     p.add_argument("config")
     p.add_argument("--sweep", help="vary one parameter: f1=start:stop:step (CSV output)")
-    p.add_argument("--jobs", type=int,
-                   help="Monte Carlo seed streams, drawn in parallel on up to one thread "
-                        "per usable core; with the seed they fix the sample")
     p.set_defaults(func=_cmd_simulate)
 
     p = sub.add_parser("distance", help="[n,k,d] of a code file")

@@ -13,7 +13,6 @@ for our purposes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import product
 
 import numpy as np
 
@@ -102,34 +101,13 @@ def min_distance(code: ClassicalCode) -> int:
 
 
 @dataclass(eq=False)
-class StabilizerGenerator:
-    """One CSS stabilizer: X part a, Z part b, sign fixed to +1.
-
-    Exactly one of a, b is nonzero (pure-X or pure-Z generator).
-    """
-
-    a: np.ndarray
-    b: np.ndarray
-    sign: int = 1
-
-    def __str__(self) -> str:
-        terms = []
-        for i, (x, z) in enumerate(zip(self.a, self.b), start=1):
-            if x and z:
-                terms.append(f"Y{i}")
-            elif x:
-                terms.append(f"X{i}")
-            elif z:
-                terms.append(f"Z{i}")
-        return "+" + ("·".join(terms) if terms else "I")
-
-
-@dataclass(eq=False)
 class CssCode:
     """CSS code with a fixed encoding.
 
     Fields: the classical pair (c1, c2), X/Z stabilizer generator
-    matrices, and the coset-representative matrix enc_a (k x n).
+    matrices, and the coset-representative matrix enc_a (k x n).  Each
+    x_stab (z_stab) row is a pure-X (pure-Z) stabilizer with sign +1, and
+    row i of enc_a is the physical X support of logical X on qubit i.
     """
 
     c1: ClassicalCode
@@ -221,19 +199,6 @@ def _assemble(c1: ClassicalCode, c2: ClassicalCode, x_stab: BitMatrix, z_stab: B
     return CssCode(c1=c1, c2=c2, enc_a=enc_a, x_stab=x_stab, z_stab=z_stab, name=name)
 
 
-def stabilizer_generators(q: CssCode) -> list[StabilizerGenerator]:
-    """The n - k CSS generators: one pure-X per x_stab row, one pure-Z per z_stab row."""
-    zeros = np.zeros(q.n, dtype=np.uint8)
-    gens = [StabilizerGenerator(a=row.copy(), b=zeros.copy()) for row in q.x_stab]
-    gens += [StabilizerGenerator(a=zeros.copy(), b=row.copy()) for row in q.z_stab]
-    return gens
-
-
-def logical_x_representatives(q: CssCode) -> BitMatrix:
-    """Row i is the physical X support implementing logical X on qubit i."""
-    return q.enc_a
-
-
 def logical_z_representatives(q: CssCode) -> BitMatrix:
     """Z-side partners of enc_a: rows lie in C2 and pair to identity.
 
@@ -251,11 +216,6 @@ def logical_z_representatives(q: CssCode) -> BitMatrix:
 def css_distance(q: CssCode) -> int:
     """Construction distance min(d1, d2) of CSS(c1, c2)."""
     return min(min_distance(q.c1), min_distance(q.c2))
-
-
-def logical_kets(k: int):
-    """All logical basis vectors of dimension k in lexicographic order."""
-    return [np.array(bits, dtype=np.uint8) for bits in product((0, 1), repeat=k)]
 
 
 # -- code file format -----------------------------------------------------------

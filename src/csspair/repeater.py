@@ -26,7 +26,9 @@ it counts as class (0, 0) without being decoded.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
-pair; per-pair marginals are reported alongside.
+pair; per-pair marginals are reported alongside.  The logical error
+rate is the mass of the other classes, summed directly: 1 - fidelity
+would cancel near fidelity 1.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ import numpy as np
 
 from . import gf2
 from .codes import CssCode, load_css, logical_z_representatives
-from .errors import MAX_EXACT_BYTES, CapacityError, NonTransversalError, ParseError
+from .errors import (MAX_EXACT_BYTES, CapacityError, DimensionMismatchError,
+                     NonTransversalError, ParseError)
 from .gf2 import BitMatrix
 from .transversality import check_cnot_transversal
 
@@ -232,8 +235,12 @@ def decode_css(q: CssCode, e_x, e_z) -> tuple[np.ndarray, np.ndarray, LogicalCla
     """
     decoded = []
     for species, e in (("x", e_x), ("z", e_z)):
+        e = np.asarray(e, dtype=np.uint8).ravel()
+        if e.size != q.n:
+            raise DimensionMismatchError(
+                f"{species.upper()} error has length {e.size}, code has n={q.n}")
         dec = _station_decoder(q, species)
-        support = np.flatnonzero(np.asarray(e, dtype=np.uint8) % 2)
+        support = np.flatnonzero(e % 2)
         synd, residual = dec.residual(np.bitwise_xor.reduce(dec.columns[support]))
         decoded.append((gf2.int_to_vector(int(dec.leaders[synd]), q.n), int(residual)))
     (corr_x, x_class), (corr_z, z_class) = decoded
@@ -563,11 +570,13 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
         total = breakdown.sum()
         if not abs(total - 1.0) <= 1e-9:
             raise AssertionError(f"pattern masses sum to {total}, expected 1")
+        rate = float(breakdown.ravel()[1:].sum())  # the failing cells, not 1 - fidelity
     else:
         if seed is None:
             seed = secrets.randbits(32)
         counts = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, samples, seed, cfg.jobs)
         breakdown = counts / float(samples)
+        rate = (samples - int(counts[0, 0])) / samples
     fid = float(breakdown[0, 0])
     stderr = None if cfg.mode == "exact" else float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
     keys = {}
@@ -577,7 +586,7 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
                 keys[_class_key(k, za, xb)] = float(breakdown[za, xb])
     return ProtocolReport(
         logical_fidelity=fid,
-        logical_error_rate=1.0 - fid,
+        logical_error_rate=rate,
         class_breakdown=keys,
         per_pair_marginals=_marginals(breakdown, k),
         mode=cfg.mode,

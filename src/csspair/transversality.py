@@ -270,10 +270,11 @@ def is_mirrored_pair(q1: CssCode, q2: CssCode) -> bool:
     )
 
 
-def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitMatrix]:
-    """Repaired encodings (A', B) with A' @ B^T = I for a mirrored pair.
+def repair_mirrored_encodings(q1: CssCode, q2: CssCode) -> tuple[CssCode, CssCode]:
+    """The mirrored pair re-encoded so that A' @ B^T = I, with A' = W @ A.
 
-    The two codes swap their check matrices, so they share k.  The
+    Only the first code changes; the second keeps its encoding B.  The
+    two codes swap their check matrices, so they share k.  The
     pairing U = A @ B^T of a valid mirrored pair is always
     invertible: a dependency among its rows would put a nonzero C1
     codeword orthogonal to all of C3 = C2, i.e. inside dual(C2), which
@@ -290,13 +291,7 @@ def cz_encodings_for_mirrored(q1: CssCode, q2: CssCode) -> tuple[BitMatrix, BitM
             "mirrored pair produced a singular logical pairing; this breaks an internal "
             "invariant and indicates a construction bug"
         ) from exc
-    return w @ q1.enc_a, q2.enc_a
-
-
-def repair_mirrored_encodings(q1: CssCode, q2: CssCode) -> tuple[CssCode, CssCode]:
-    """Convenience wrapper: mirrored pair re-encoded so that A @ B^T = I.  Only the
-    first code changes; the second keeps its encoding."""
-    return with_encoding(q1, cz_encodings_for_mirrored(q1, q2)[0]), q2
+    return with_encoding(q1, w @ q1.enc_a), q2
 
 
 def audit_mirror_claims(z_stab_a: BitMatrix, x_stab_a: BitMatrix,
@@ -380,7 +375,7 @@ def _gate_matches(va: np.ndarray, wb: np.ndarray, cz: bool, expected) -> bool:
 
 
 def _oracle(qa: CssCode, qb: CssCode, cz: bool) -> OracleResult:
-    """Both oracles' loop.  With kets in `logical_kets` order, psi_a + psi_b
+    """Both oracles' loop.  With kets in lexicographic order, psi_a + psi_b
     is index i ^ j and psi_a . psi_b is the parity of i & j.
 
     Every joint entry of a basis pair has amplitude a*b, so a pair that

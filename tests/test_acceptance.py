@@ -31,7 +31,6 @@ from csspair import (
     check_cnot_transversal,
     check_cz_sufficient,
     check_cz_transversal,
-    cz_encodings_for_mirrored,
     exact_logical_fidelity,
     gf2,
     logical_z_representatives,
@@ -86,9 +85,8 @@ def test_mirrored_cz_reproduction(fixtures_dir):
     g1p = gf2.load_matrix(fixtures_dir / "mirror7_z_checks.mat")
     g2p = gf2.load_matrix(fixtures_dir / "mirror7_x_checks.mat")
     q1, q2 = make_mirrored_pair(g1p, g2p)
-    enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-    pairing_ok = (enc_a @ enc_b.T) == BitMatrix.identity(2)
     q1r, q2r = repair_mirrored_encodings(q1, q2)
+    pairing_ok = (q1r.enc_a @ q2r.enc_a.T) == BitMatrix.identity(2)
     verdict = check_cz_transversal(q1r, q2r).verdict
     res = oracle_cz(q1r, q2r)
     # the hand-written variant of the second code is internally
@@ -123,11 +121,10 @@ def test_mirrored_repair_property_suite():
         if gf2.rank(u) != q1.k:
             failures.append((trial, n, "singular pairing"))
             continue
-        enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-        if (enc_a @ enc_b.T) != BitMatrix.identity(q1.k):
+        q1r, q2r = repair_mirrored_encodings(q1, q2)
+        if (q1r.enc_a @ q2r.enc_a.T) != BitMatrix.identity(q1.k):
             failures.append((trial, n, "repair did not reach identity"))
             continue
-        q1r, q2r = repair_mirrored_encodings(q1, q2)
         if not oracle_cz(q1r, q2r).ok:
             failures.append((trial, n, "oracle rejected repaired pair"))
     announce(

@@ -355,7 +355,7 @@ def test_reports_byte_identical_across_runs(capsys, fixtures_dir):
 
 def test_module_entry_point(fixtures_dir):
     proc = subprocess.run(
-        [sys.executable, "-m", "csspair", "check-cnot",
+        [sys.executable, "-W", "error", "-m", "csspair", "check-cnot",
          str(fixtures_dir / "pair7_station_a.code"),
          str(fixtures_dir / "pair7_station_b.code")],
         capture_output=True, text=True, timeout=120,
@@ -425,8 +425,8 @@ def _sweep_in_capped_child(fixtures_dir, spec):
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
-        [sys.executable, "-m", "csspair", "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
-         f"--sweep={spec}"],
+        [sys.executable, "-W", "error", "-m", "csspair", "simulate",
+         str(fixtures_dir / "sim_zero_noise.cfg"), f"--sweep={spec}"],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
     )
 
@@ -477,12 +477,6 @@ def test_simulate_sweep_leaving_the_simplex_runs_no_point(capsys, fixtures_dir, 
     assert (code, out, ran) == (2, "", [])
     assert err == ("error: bad sweep argument 'f1=0:1:0.05': at f1 = 1.0, "
                    "f1 + f2 + f3 must not exceed 1\n")
-
-
-def test_simulate_jobs_zero_exits_2(capsys, fixtures_dir):
-    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_pair7_mc.cfg"),
-                             "--jobs", "0")
-    assert (code, out, err) == (2, "", "error: jobs must be >= 1\n")
 
 
 def test_reports_never_emit_nan(capsys, fixtures_dir, monkeypatch):
@@ -609,12 +603,11 @@ def test_simulate_exact_config_refuses_montecarlo_settings(capsys, fixtures_dir,
     assert err == f"error: line {line}: bad config value: {key} applies to montecarlo mode only\n"
 
 
-def test_simulate_jobs_on_exact_config_runs_no_point(capsys, fixtures_dir, monkeypatch):
-    ran = []
-    monkeypatch.setattr(repeater, "run_local_swapping", lambda cfg: ran.append(cfg))
-    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_pair7.cfg"),
-                             "--jobs", "2")
-    assert (code, out, err, ran) == (2, "", "error: jobs applies to montecarlo mode only\n", [])
+def test_simulate_has_no_jobs_flag(capsys, fixtures_dir):
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", str(fixtures_dir / "sim_pair7_mc.cfg"), "--jobs", "2"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --jobs" in capsys.readouterr().err
 
 
 def test_simulate_has_no_allow_nontransversal_flag(capsys, fixtures_dir):

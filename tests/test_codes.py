@@ -1,18 +1,19 @@
 """Classical and CSS code construction, distances, stabilizers, file I/O."""
 
 import tracemalloc
+import types
 from itertools import product
 
 import numpy as np
 import pytest
 
+import csspair
 from csspair import (
     BitMatrix,
     ClassicalCode,
     CssCode,
     css_distance,
     dual_basis,
-    logical_x_representatives,
     logical_z_representatives,
     make_classical,
     make_css,
@@ -20,11 +21,10 @@ from csspair import (
     load_css,
     min_distance,
     parse_css_text,
-    stabilizer_generators,
     with_encoding,
 )
 from csspair import gf2, sampling
-from csspair.codes import css_to_text, logical_kets
+from csspair.codes import css_to_text
 from csspair.errors import CapacityError, ContainmentError, EncodingError, ParseError
 
 from conftest import FIXTURES, HAMMING_ROWS, build_pair7_a, build_pair7_b
@@ -40,6 +40,13 @@ def brute_force_distance(code):
         if gf2.solve_row(code.gen, vec) is not None:
             best = min(best, int(vec.sum()))
     return best
+
+
+def test_package_exports_exactly_its_public_names():
+    public = {name for name, value in vars(csspair).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(csspair.__all__)
+    assert len(csspair.__all__) == len(set(csspair.__all__))
 
 
 def test_make_classical_identity():
@@ -144,26 +151,19 @@ def test_make_css_validates_supplied_encoding():
 
 
 def test_stabilizer_generators_steane(steane):
-    gens = stabilizer_generators(steane)
-    assert len(gens) == 6
-    assert sum(1 for g in gens if g.a.any()) == 3
-    assert sum(1 for g in gens if g.b.any()) == 3
-    assert all(g.sign == 1 for g in gens)
-    assert all(not (g.a.any() and g.b.any()) for g in gens)
+    assert (steane.x_stab.rows, steane.z_stab.rows) == (3, 3)
 
 
 def test_stabilizer_generators_pair7():
     qa = build_pair7_a()
-    gens = stabilizer_generators(qa)
-    assert sum(1 for g in gens if g.a.any()) == 2
-    assert sum(1 for g in gens if g.b.any()) == 3
+    assert (qa.x_stab.rows, qa.z_stab.rows) == (2, 3)
 
 
 def test_trivial_full_space_code_has_no_generators():
     full = make_classical(BitMatrix.identity(4))
     q = make_css(full, make_classical(BitMatrix.identity(4)))
     assert q.k == 4
-    assert stabilizer_generators(q) == []
+    assert q.x_stab.rows == q.z_stab.rows == 0
 
 
 def test_css_invariants_hold():
@@ -177,7 +177,7 @@ def test_css_invariants_hold():
 
 def test_logical_x_representatives_pair7():
     qa = build_pair7_a()
-    assert logical_x_representatives(qa).row_strings() == ["0011011", "1011100"]
+    assert qa.enc_a.row_strings() == ["0011011", "1011100"]
 
 
 def test_logical_x_representatives_trivial_k0():
@@ -187,11 +187,11 @@ def test_logical_x_representatives_trivial_k0():
     c2 = ClassicalCode(dual_basis(gen))
     q = make_css(c1, c2)
     assert q.k == 0
-    assert logical_x_representatives(q).rows == 0
+    assert q.enc_a.rows == 0
 
 
 def test_steane_default_encoding_row(steane):
-    row = logical_x_representatives(steane).row(0)
+    row = steane.enc_a.row(0)
     assert gf2.solve_row(steane.c1.gen, row) is not None
     assert gf2.solve_row(steane.x_stab, row) is None  # not a stabilizer
 
@@ -237,11 +237,6 @@ def test_make_css_from_stabilizers_keeps_checks():
 def test_make_css_from_stabilizers_rejects_anticommuting():
     with pytest.raises(ContainmentError):
         make_css_from_stabilizers(BitMatrix([[1, 0, 0]]), BitMatrix([[1, 1, 0]]))
-
-
-def test_logical_kets_order():
-    kets = logical_kets(2)
-    assert [tuple(k) for k in kets] == [(0, 0), (0, 1), (1, 0), (1, 1)]
 
 
 def test_css_file_round_trip(steane):

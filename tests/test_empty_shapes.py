@@ -25,13 +25,13 @@ import pytest
 from csspair import (
     BitMatrix,
     cli,
-    cz_encodings_for_mirrored,
     encode_logical,
     find_cnot_encoding,
     logical_z_representatives,
     make_css_from_stabilizers,
     make_mirrored_pair,
     parse_css_text,
+    repair_mirrored_encodings,
     sampling,
 )
 from csspair.codes import css_to_text
@@ -154,7 +154,8 @@ def test_k0_mirrored_pair_repairs_to_empty_encodings():
     q1, q2 = make_mirrored_pair(BitMatrix.from_strings(["1111"]),
                                 BitMatrix.from_strings(["1100", "0110", "0011"]))
     assert (q1.k, q2.k) == (0, 0)
-    assert cz_encodings_for_mirrored(q1, q2) == (BitMatrix.empty(4), BitMatrix.empty(4))
+    q1r, q2r = repair_mirrored_encodings(q1, q2)
+    assert (q1r.enc_a, q2r.enc_a) == (BitMatrix.empty(4), BitMatrix.empty(4))
 
 
 def test_scramble_encoding_of_k0_code_keeps_it_and_draws_nothing():

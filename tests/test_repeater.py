@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from fractions import Fraction
 from itertools import combinations, product
 from math import comb
 
@@ -23,7 +24,7 @@ from csspair import (
     run_local_swapping,
 )
 from csspair import gf2, repeater
-from csspair.errors import CapacityError, NonTransversalError, ParseError
+from csspair.errors import CapacityError, DimensionMismatchError, NonTransversalError, ParseError
 from csspair.sampling import random_cnot_pair, random_repaired_mirrored_pair
 
 from conftest import HAMMING_ROWS, STANDARD_SELF_PAIRS, cyclic_code, x_checked_code
@@ -149,6 +150,44 @@ def test_exact_matches_pattern_enumeration(pair7_a, pair7_b):
             slow_ok += p
     fast = exact_logical_fidelity(pair7_a, pair7_b, model)
     assert fast == pytest.approx(slow_ok, abs=1e-12)
+
+
+@pytest.mark.parametrize("f", [(1e-4, 1e-4, 0.0), (1e-6, 1e-6, 1e-7), (1e-7, 1e-7, 0.0)])
+def test_exact_error_rate_matches_rational_failing_mass(steane, f):
+    """The reported error rate is the failing mass to 1e-12 relative, where
+    1 - fidelity cancels: the Steane self-pair against exact rational sums
+    over all 4^7 patterns, each failure decided by decode_css."""
+    model = ErrorModel(*f)
+    w = [Fraction(1) - sum(map(Fraction, f)), *map(Fraction, f)]
+    fails = {}
+    exact = Fraction(0)
+    for e_z, e_x, _ in enumerate_error_patterns(7, model):
+        key = (e_z.tobytes(), e_x.tobytes())
+        if key not in fails:
+            fails[key] = not decode_css(steane, e_x, e_z)[2].trivial
+        if fails[key]:
+            both = int((e_z & e_x).sum())
+            z_only, x_only = int(e_z.sum()) - both, int(e_x.sum()) - both
+            exact += (w[0] ** (7 - z_only - x_only - both)
+                      * w[1] ** z_only * w[2] ** x_only * w[3] ** both)
+    rate = run_local_swapping(ProtocolConfig(qa=steane, qb=steane, model=model)).logical_error_rate
+    assert abs(Fraction(rate) - exact) <= exact * Fraction(1, 10**12)
+
+
+def test_montecarlo_error_rate_counts_the_failing_samples(pair7_a, pair7_b):
+    samples = 20_000
+    cfg = ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.01, 0.002),
+                         mode="montecarlo", samples=samples, seed=11)
+    rep = run_local_swapping(cfg)
+    passed = round(rep.logical_fidelity * samples)
+    assert rep.logical_error_rate == (samples - passed) / samples
+
+
+def test_decode_rejects_error_of_wrong_length(steane):
+    with pytest.raises(DimensionMismatchError, match="X error has length 3, code has n=7"):
+        decode_css(steane, np.zeros(3), np.zeros(7))
+    with pytest.raises(DimensionMismatchError, match="Z error has length 9, code has n=7"):
+        decode_css(steane, np.zeros(7), np.zeros(9))
 
 
 def test_zero_noise_gives_unit_fidelity(pair7_a, pair7_b):

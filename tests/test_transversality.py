@@ -13,7 +13,6 @@ from csspair import (
     check_cnot_transversal,
     check_cz_sufficient,
     check_cz_transversal,
-    cz_encodings_for_mirrored,
     dual_basis,
     find_cnot_encoding,
     make_classical,
@@ -102,9 +101,8 @@ def test_mirrored_pair_construction_and_repair():
     assert (q1.n, q1.k) == (7, 2) and (q2.n, q2.k) == (7, 2)
     assert gf2.spans_equal(q1.x_stab, q2.z_stab)
     assert gf2.spans_equal(q1.z_stab, q2.x_stab)
-    enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-    assert (enc_a @ enc_b.T) == BitMatrix.identity(2)
     q1r, q2r = repair_mirrored_encodings(q1, q2)
+    assert (q1r.enc_a @ q2r.enc_a.T) == BitMatrix.identity(2)
     assert check_cz_transversal(q1r, q2r).verdict
     res = oracle_cz(q1r, q2r)
     assert res.ok and res.max_deviation < 1e-12
@@ -130,8 +128,8 @@ def test_cz_encodings_for_k0_pair():
     g2p = BitMatrix.from_strings(["0010", "0001"])
     q1, q2 = make_mirrored_pair(g1p, g2p)
     assert q1.k == 0
-    enc_a, enc_b = cz_encodings_for_mirrored(q1, q2)
-    assert enc_a.rows == 0 and enc_b.rows == 0
+    q1r, q2r = repair_mirrored_encodings(q1, q2)
+    assert q1r.enc_a.rows == 0 and q2r.enc_a.rows == 0
 
 
 def _self_orth_k2_with_bad_pairing():
