@@ -12,7 +12,6 @@ under non-local gates.
 
 from csspair import (
     BitMatrix,
-    css_distance,
     load_css,
     logical_z_representatives,
     make_classical,
@@ -27,7 +26,9 @@ ham = make_classical(BitMatrix.from_strings(HAMMING))
 print("classical Hamming code: n", ham.n, "k", ham.k, "d", min_distance(ham))
 
 steane = make_css(ham, make_classical(BitMatrix.from_strings(HAMMING)))
-print("CSS(Hamming, Hamming):", steane, "distance", css_distance(steane))
+# Its construction distance is the smaller of the two classical distances.
+print("CSS(Hamming, Hamming):", steane, "distance",
+      min(min_distance(steane.c1), min_distance(steane.c2)))
 # Each X-check row is a pure-X stabilizer generator, each Z-check row a
 # pure-Z one; row i of A is the support of logical X on qubit i.
 print("X checks:", steane.x_stab.row_strings())

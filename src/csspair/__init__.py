@@ -10,7 +10,6 @@ Bell-pair fidelity over a biased Pauli channel.
 from .codes import (
     ClassicalCode,
     CssCode,
-    css_distance,
     load_css,
     logical_z_representatives,
     make_classical,
@@ -87,7 +86,6 @@ __all__ = [
     "check_cz_sufficient",
     "check_cz_transversal",
     "complement_basis",
-    "css_distance",
     "decode_css",
     "dual_basis",
     "encode_logical",

@@ -153,13 +153,13 @@ def _parse_sweep(arg: str) -> tuple[str, list[float]]:
         start_s, stop_s, step_s = rng.split(":")
         start, stop, step = float(start_s), float(stop_s), float(step_s)
     except ValueError as exc:
-        raise ParseError(f"bad sweep argument {arg!r} (want key=start:stop:step)") from exc
+        raise ParseError(f"bad sweep argument {arg!r}: want key=start:stop:step") from exc
     if key not in ("f1", "f2", "f3"):
-        raise ParseError(f"sweep key must be f1, f2 or f3, not {key!r}")
+        raise ParseError(f"bad sweep argument {arg!r}: the key must be f1, f2 or f3")
     if not all(map(math.isfinite, (start, stop, step))):
         raise ParseError(f"bad sweep argument {arg!r}: start, stop and step must be finite")
     if step <= 0:
-        raise ParseError("sweep step must be positive")
+        raise ParseError(f"bad sweep argument {arg!r}: the step must be positive")
     if not (0 <= start <= 1 and 0 <= stop <= 1):
         raise ParseError(f"bad sweep argument {arg!r}: start and stop must lie in [0, 1]")
     if start > stop:
@@ -217,13 +217,8 @@ def _cmd_simulate(args) -> int:
 def _cmd_distance(args) -> int:
     if args.css:
         q = codes.load_css(args.path)
-        payload = {
-            "n": q.n,
-            "k": q.k,
-            "d": codes.css_distance(q),
-            "d1": codes.min_distance(q.c1),
-            "d2": codes.min_distance(q.c2),
-        }
+        d1, d2 = codes.min_distance(q.c1), codes.min_distance(q.c2)
+        payload = {"n": q.n, "k": q.k, "d": min(d1, d2), "d1": d1, "d2": d2}
     else:
         code = gf2._parse_file(args.path,
                                lambda text: codes.make_classical(gf2.BitMatrix.from_text(text)))
@@ -241,10 +236,8 @@ def _cmd_find_encoding(args) -> int:
         _emit({"found": False}, args.pretty, args.out)
         return 1
     payload = {"found": True, "encoding": enc.row_strings()}
-    if args.check:
-        qa2 = codes.with_encoding(qa, enc)
-        qb2 = codes.with_encoding(qb, enc)
-        res = transversality.oracle_cnot(qa2, qb2)
+    if args.check:  # enc is qa's own encoding, so only qb takes it on
+        res = transversality.oracle_cnot(qa, codes.with_encoding(qb, enc))
         payload["oracle"] = _oracle_block(res)
     _emit(payload, args.pretty, args.out)
     return 0

@@ -12,7 +12,7 @@ for our purposes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,12 +35,11 @@ class ClassicalCode:
     """Linear [n, k] code given by a full-rank generator matrix.
 
     ``was_reduced`` flags that the constructor received dependent rows
-    and dropped some.  The distance is computed on demand and cached.
+    and dropped some.  `min_distance` computes the distance.
     """
 
     gen: BitMatrix
     was_reduced: bool = False
-    _d: int | None = field(default=None, repr=False)
 
     @property
     def n(self) -> int:
@@ -50,12 +49,8 @@ class ClassicalCode:
     def k(self) -> int:
         return self.gen.rows
 
-    def dual(self) -> "ClassicalCode":
-        return ClassicalCode(gf2.dual_basis(self.gen))
-
     def __repr__(self) -> str:
-        d = f",{self._d}" if self._d is not None else ""
-        return f"ClassicalCode[{self.n},{self.k}{d}]"
+        return f"ClassicalCode[{self.n},{self.k}]"
 
 
 def make_classical(gen: BitMatrix) -> ClassicalCode:
@@ -75,13 +70,11 @@ def make_classical(gen: BitMatrix) -> ClassicalCode:
 
 
 def min_distance(code: ClassicalCode) -> int:
-    """Minimum Hamming weight over the 2^k - 1 nonzero codewords, k <= 20, memoized.
+    """Minimum Hamming weight over the 2^k - 1 nonzero codewords, k <= 20.
 
     Meet in the middle: the span of the last ceil(k/2) packed generators is XORed
     with each sum of the others, in about 2^ceil(k/2) * ceil(n/8) bytes.
     """
-    if code._d is not None:
-        return code._d
     if code.k == 0:
         raise ValueError("a code without nonzero codewords has no distance")
     if code.k > MAX_DISTANCE_DIMENSION:
@@ -96,7 +89,6 @@ def min_distance(code: ClassicalCode) -> int:
         weights = np.bitwise_count(low ^ word).sum(axis=1)
         # Entry 0 of the first sum is the zero codeword.
         best = min(best, int((weights[1:] if i == 0 else weights).min()))
-    code._d = best
     return best
 
 
@@ -141,12 +133,12 @@ def make_css(c1: ClassicalCode, c2: ClassicalCode, enc_a: BitMatrix | None = Non
     """
     if c1.n != c2.n:
         raise DimensionMismatchError(f"block lengths differ: {c1.n} vs {c2.n}")
-    x_stab = c2.dual().gen
+    x_stab = gf2.dual_basis(c2.gen)
     if not gf2.subspace_leq(x_stab, c1.gen):
         raise ContainmentError(
             f"not a CSS pair: dual(C2) (dim {x_stab.rows}) is not contained in C1"
         )
-    return _assemble(c1, c2, x_stab, c1.dual().gen, enc_a, name)
+    return _assemble(c1, c2, x_stab, gf2.dual_basis(c1.gen), enc_a, name)
 
 
 def make_css_from_stabilizers(x_stab: BitMatrix, z_stab: BitMatrix,
@@ -211,11 +203,6 @@ def logical_z_representatives(q: CssCode) -> BitMatrix:
     except (DimensionMismatchError, SingularMatrixError) as exc:
         raise EncodingError("logical pairing is degenerate; encoding matrix is invalid") from exc
     return w @ q.c2.gen
-
-
-def css_distance(q: CssCode) -> int:
-    """Construction distance min(d1, d2) of CSS(c1, c2)."""
-    return min(min_distance(q.c1), min_distance(q.c2))
 
 
 # -- code file format -----------------------------------------------------------

@@ -4,7 +4,7 @@ The CLI maps these onto exit codes: bad input (parsing, dimension or
 containment violations) exits 2, capacity overruns exit 3.
 """
 
-# Memory budget of exact link fidelity and the coset-leader search (CapacityError beyond).
+# Memory budget of exact mode, Monte Carlo class counts and decoders (CapacityError beyond).
 MAX_EXACT_BYTES = 2**31
 
 

@@ -68,6 +68,11 @@ EXACT_BYTES_PER_IMAGE = 24
 # int64 vectors over the hits and over the rows they hit (at most one per hit).
 MC_BATCH_HITS = 1 << 16
 MC_BYTES_PER_HIT = 96
+# Monte Carlo's class counts are dense int64 arrays over the 2^(kA + kB) classes:
+# three per worker (its sum, its stream's, a batch's bincount) and two for the
+# report (the sum and its float64 breakdown).  The check counts a worker per stream,
+# so whether a config fits depends on neither the noise nor the host's cores.
+MC_CLASS_ARRAYS_PER_WORKER = 3
 # A longer gap between hits reads as this many entries with no hit (see
 # _channel_hits), so a batch's gaps sum to less than 2^62.
 MC_MAX_GAP = 1 << 32
@@ -522,8 +527,15 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     stream's counts do not depend on its batches, so the counts do not
     depend on W.  Workers call only private functions and methods, so a
     tracer that wraps the public functions keeps one span stack, and the
-    numpy loops they run release the interpreter lock.
+    numpy loops they run release the interpreter lock.  The class counts
+    must fit MAX_EXACT_BYTES before any is allocated (see MC_CLASS_ARRAYS_PER_WORKER).
     """
+    m = qa.k + qb.k
+    streams = min(jobs, samples)
+    need = 8 * (MC_CLASS_ARRAYS_PER_WORKER * streams + 2) << m
+    if need > MAX_EXACT_BYTES:
+        raise CapacityError(f"Monte Carlo needs {need} bytes for its counts over 2^{m} classes; "
+                            f"the limit is {MAX_EXACT_BYTES}")
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
     assert dec_a.residual(0)[1] == dec_b.residual(0)[1] == 0, "image 0 must decode to class 0"
@@ -532,7 +544,6 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
         counts = np.zeros(shape, dtype=np.int64)
         counts[0, 0] = samples
         return counts
-    streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
     workers = min(streams, _usable_cores())
     cap = max(1, MC_BATCH_HITS // workers)
@@ -579,11 +590,9 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
         rate = (samples - int(counts[0, 0])) / samples
     fid = float(breakdown[0, 0])
     stderr = None if cfg.mode == "exact" else float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
-    keys = {}
-    for za in range(breakdown.shape[0]):
-        for xb in range(breakdown.shape[1]):
-            if breakdown[za, xb] > 0.0:
-                keys[_class_key(k, za, xb)] = float(breakdown[za, xb])
+    za, xb = np.nonzero(breakdown > 0.0)  # row-major; skips a rounding-level negative cell
+    keys = {_class_key(k, a, b): p
+            for a, b, p in zip(za.tolist(), xb.tolist(), breakdown[za, xb].tolist())}
     return ProtocolReport(
         logical_fidelity=fid,
         logical_error_rate=rate,

@@ -12,7 +12,7 @@ import pytest
 
 from csspair import BitMatrix, cli, load_css, repeater, save_css, with_encoding
 from csspair.cli import main
-from csspair.sampling import random_cnot_pair, scramble_encoding
+from csspair.sampling import random_cnot_pair, random_css_code, scramble_encoding
 
 from conftest import x_checked_code
 
@@ -238,6 +238,23 @@ def test_verify_agreement(capsys, fixtures_dir):
     assert payload["cz"]["checker_oracle_agree"] is True
 
 
+def test_verify_codes_of_unequal_k_agree_without_oracles(capsys, fixtures_dir):
+    code, out, _ = run_cli(capsys, "verify", str(fixtures_dir / "pair7_station_a.code"),
+                           str(fixtures_dir / "pair7_counterexample_b.code"))
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["agreement"] is True
+    for gate in ("cnot", "cz"):
+        assert payload[gate].keys().isdisjoint({"oracle", "checker_oracle_agree"})
+
+
+def test_check_cnot_oracle_skips_codes_of_unequal_k(capsys, fixtures_dir):
+    code, out, _ = run_cli(capsys, "check-cnot", str(fixtures_dir / "pair7_station_a.code"),
+                           str(fixtures_dir / "pair7_counterexample_b.code"), "--oracle")
+    assert code == 1
+    assert json.loads(out).keys().isdisjoint({"oracle", "warning"})
+
+
 def test_simulate_zero_noise(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"))
     assert code == 0
@@ -418,17 +435,21 @@ def test_simulate_duplicate_config_key_names_its_line(capsys, fixtures_dir, tmp_
     assert err == f"error: line {line}: duplicate config key {key!r}\n"
 
 
-def _sweep_in_capped_child(fixtures_dir, spec):
-    # A child process with a timeout and a 1 GiB address space: a sweep that never
-    # ends fails its test instead of hanging the suite or filling memory.
+def _in_capped_child(*argv):
+    # A child process with a timeout and a 1 GiB address space: a run that never
+    # ends or outgrows its memory fails its test instead of hanging the suite or
+    # filling memory.
     def cap_memory():
         resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 
     return subprocess.run(
-        [sys.executable, "-W", "error", "-m", "csspair", "simulate",
-         str(fixtures_dir / "sim_zero_noise.cfg"), f"--sweep={spec}"],
+        [sys.executable, "-W", "error", "-m", "csspair", *argv],
         capture_output=True, text=True, timeout=60, preexec_fn=cap_memory,
     )
+
+
+def _sweep_in_capped_child(fixtures_dir, spec):
+    return _in_capped_child("simulate", str(fixtures_dir / "sim_zero_noise.cfg"), f"--sweep={spec}")
 
 
 @pytest.mark.parametrize("spec, why", [
@@ -448,6 +469,35 @@ def test_simulate_sweep_that_cannot_end_exits_2(fixtures_dir, spec, why):
     assert proc.stdout == ""
     assert proc.stderr.startswith(f"error: bad sweep argument {spec!r}: ")
     assert why in proc.stderr
+
+
+@pytest.mark.parametrize("spec", ["f1=0:0.02", "f4=0:0.02:0.01", "f1=0:0.02:-0.01",
+                                  "f1=0:0.02:0"])
+def test_simulate_bad_sweep_argument_is_named(capsys, fixtures_dir, spec):
+    code, out, err = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"),
+                             "--sweep", spec)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: bad sweep argument {spec!r}: ")
+
+
+@pytest.mark.parametrize("seed, n, k, noise, exit_code", [
+    (3, 18, 14, "f1=0.01\nf2=0.01\n", 3),  # 2 GiB per dense class array
+    (3, 18, 14, "", 3),  # no noise draws nothing, but the counts are still dense
+    (5, 15, 11, "f1=0.01\nf2=0.01\n", 0),
+])
+def test_montecarlo_refuses_class_counts_past_the_byte_limit(tmp_path, seed, n, k, noise,
+                                                             exit_code):
+    save_css(random_css_code(np.random.default_rng(seed), n, k), tmp_path / "q.code")
+    cfg = tmp_path / "mc.cfg"
+    cfg.write_text(f"codeA=q.code\ncodeB=q.code\n{noise}mode=montecarlo\nsamples=2000\nseed=1\n")
+    proc = _in_capped_child("simulate", str(cfg))
+    assert proc.returncode == exit_code, proc.stderr
+    if exit_code:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith(f"capacity error: Monte Carlo needs {5 * 8 << 2 * k} bytes "
+                                      f"for its counts over 2^{2 * k} classes")
+    else:
+        assert json.loads(proc.stdout)["samples"] == 2000
 
 
 def test_simulate_huge_sweep_exits_3_before_listing_points(fixtures_dir):

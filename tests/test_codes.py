@@ -12,7 +12,6 @@ from csspair import (
     BitMatrix,
     ClassicalCode,
     CssCode,
-    css_distance,
     dual_basis,
     logical_z_representatives,
     make_classical,
@@ -130,7 +129,7 @@ def test_make_css_pair7_logical_dimension():
 def test_make_css_steane(hamming_code):
     q = make_css(hamming_code, make_classical(BitMatrix.from_strings(HAMMING_ROWS)))
     assert (q.n, q.k) == (7, 1)
-    assert css_distance(q) == 3
+    assert min(min_distance(q.c1), min_distance(q.c2)) == 3
 
 
 def test_make_css_rejects_repetition_pair():

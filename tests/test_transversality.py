@@ -325,8 +325,8 @@ def _degenerate_cnot_pairs():
     """Pairs where A + B in dual(C4) reduces to A == B: k = 0, or no X checks on B."""
     self_dual = make_classical(BitMatrix.from_strings(["1100", "0011"]))
     other_dual = make_classical(BitMatrix.from_strings(["1010", "0101"]))
-    k0 = make_css(self_dual, self_dual.dual())
-    k0_other = make_css(other_dual, other_dual.dual())
+    k0 = make_css(self_dual, ClassicalCode(dual_basis(self_dual.gen)))
+    k0_other = make_css(other_dual, ClassicalCode(dual_basis(other_dual.gen)))
     no_x = make_css(make_classical(BitMatrix.from_strings(["110", "011"])),
                     make_classical(BitMatrix.identity(3)))
     no_x_swapped = with_encoding(no_x, BitMatrix(no_x.enc_a.a[::-1].copy()))
