@@ -20,7 +20,7 @@ f1 + f2 + f3 = 0.02 it draws about one pair of uniforms per 50 qubit
 pairs and decodes only the samples with a hit.
 """
 
-from csspair import ErrorModel, ProtocolConfig, exact_logical_fidelity, load_config, run_local_swapping
+from csspair import ErrorModel, ProtocolConfig, load_config, run_local_swapping
 
 # Config files bundle the code pair, channel and mode.
 cfg = load_config("fixtures/sim_pair7.cfg")
@@ -62,5 +62,5 @@ print("  swapped assignment:        ", f"{swapped.logical_fidelity:.5f}")
 # `csspair simulate --sweep f1=0:0.02:0.005`).
 print("\nf1 sweep on the bundled pair (f2=0.01 fixed):")
 for f1 in (0.0, 0.005, 0.01, 0.02):
-    fid = exact_logical_fidelity(cfg.qa, cfg.qb, ErrorModel(f1, 0.01, 0.0))
-    print(f"  f1={f1:.3f}: fidelity {fid:.5f}")
+    point = run_local_swapping(ProtocolConfig(cfg.qa, cfg.qb, ErrorModel(f1, 0.01, 0.0)))
+    print(f"  f1={f1:.3f}: fidelity {point.logical_fidelity:.5f}")

@@ -37,7 +37,6 @@ from .repeater import (
     ProtocolReport,
     decode_css,
     enumerate_error_patterns,
-    exact_logical_fidelity,
     load_config,
     run_local_swapping,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "dual_basis",
     "encode_logical",
     "enumerate_error_patterns",
-    "exact_logical_fidelity",
     "fidelity",
     "find_cnot_encoding",
     "load_config",

@@ -4,7 +4,8 @@ The CLI maps these onto exit codes: bad input (parsing, dimension or
 containment violations) exits 2, capacity overruns exit 3.
 """
 
-# Memory budget of exact mode, Monte Carlo class counts and decoders (CapacityError beyond).
+# Memory budget of exact mode, decoders, and Monte Carlo's one class-count array with
+# its float64 breakdown (CapacityError beyond).  Each check depends on the codes only.
 MAX_EXACT_BYTES = 2**31
 
 

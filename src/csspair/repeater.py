@@ -36,6 +36,7 @@ from __future__ import annotations
 import math
 import os
 import secrets
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -68,11 +69,6 @@ EXACT_BYTES_PER_IMAGE = 24
 # int64 vectors over the hits and over the rows they hit (at most one per hit).
 MC_BATCH_HITS = 1 << 16
 MC_BYTES_PER_HIT = 96
-# Monte Carlo's class counts are dense int64 arrays over the 2^(kA + kB) classes:
-# three per worker (its sum, its stream's, a batch's bincount) and two for the
-# report (the sum and its float64 breakdown).  The check counts a worker per stream,
-# so whether a config fits depends on neither the noise nor the host's cores.
-MC_CLASS_ARRAYS_PER_WORKER = 3
 # A longer gap between hits reads as this many entries with no hit (see
 # _channel_hits), so a batch's gaps sum to less than 2^62.
 MC_MAX_GAP = 1 << 32
@@ -392,11 +388,6 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
     return p.reshape(-1, kb)
 
 
-def exact_logical_fidelity(qa: CssCode, qb: CssCode, model: ErrorModel) -> float:
-    """Probability that both stations decode back to the identity class."""
-    return float(_exact_breakdown(qa, qb, model)[0, 0])
-
-
 def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
     """Per logical pair j: probability its Bell pair survives untouched."""
     out = []
@@ -442,8 +433,8 @@ def _channel_hits(pairs: np.ndarray, model: ErrorModel) -> tuple[np.ndarray, np.
 
 
 def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cap: int,
-                   dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder) -> np.ndarray:
-    """Joint class counts of `rows` samples drawn hit by hit from one seed stream.
+                   dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder):
+    """Yield (joint classes, counts) of `rows` samples drawn hit by hit from one seed stream.
 
     The rows' (row, qubit) entries are read as one flat run, row after
     row, and the stream as one (U, V) pair per hit (see _channel_hits).
@@ -453,11 +444,12 @@ def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cap: 
     to its last row, which may get more hits: that row's pairs are
     carried over to the next batch.  Each hit XORs its qubit's packed
     column into its row's image at every station it reaches, one
-    `reduceat` per station over the hits in row order.  A row with no hit
-    has image 0 at both stations, class (0, 0), and is not decoded.
+    `reduceat` per station over the hits in row order, and the batch
+    yields its distinct joint classes class_a << kB | class_b.  A row with
+    no hit has image 0 at both stations, class (0, 0): the last yield
+    counts those rows as class 0 without decoding them.
     """
     n = dec_a.columns.size
-    counts = np.zeros((1 << dec_a.k, 1 << dec_b.k), dtype=np.int64)
     entries = rows * n
     last = -1  # the entry of the last decoded hit
     decoded = 0  # rows with a decoded hit
@@ -487,12 +479,11 @@ def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cap: 
             del offset, at, row  # freed before the column gathers, which set the peak working set
             _, class_a = dec_a.residual(np.bitwise_xor.reduceat(dec_a.columns[qubit] * z[:got], first))
             _, class_b = dec_b.residual(np.bitwise_xor.reduceat(dec_b.columns[qubit] * x[:got], first))
-            joint = class_a * counts.shape[1] + class_b
-            counts += np.bincount(joint, minlength=counts.size).reshape(counts.shape)
+            yield np.unique(class_a << dec_b.k | class_b, return_counts=True)
             decoded += first.size
         if ended:
-            counts[0, 0] += rows - decoded
-            return counts
+            yield 0, rows - decoded
+            return
 
 
 def _usable_cores() -> int:
@@ -522,41 +513,45 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
 
     The streams are drawn in parallel by W = min(streams, usable cores)
     worker threads: worker t draws streams t, t + W, ... in batches of
-    at most MC_BATCH_HITS // W hits and keeps its own counts, which are
-    summed at the end.  Integer sums do not depend on order, and a
-    stream's counts do not depend on its batches, so the counts do not
-    depend on W.  Workers call only private functions and methods, so a
-    tracer that wraps the public functions keeps one span stack, and the
-    numpy loops they run release the interpreter lock.  The class counts
-    must fit MAX_EXACT_BYTES before any is allocated (see MC_CLASS_ARRAYS_PER_WORKER).
+    at most MC_BATCH_HITS // W hits, and adds each batch's class counts
+    into the run's one int64 count array under a lock.  Integer sums do
+    not depend on order, and a stream's counts do not depend on its
+    batches, so the counts do not depend on W.  Workers call only private
+    functions and methods, so a tracer that wraps the public functions
+    keeps one span stack, and the numpy loops they run release the
+    interpreter lock.  The count array and the report's float64 copy,
+    16 bytes per class pair, must fit MAX_EXACT_BYTES before the array
+    is allocated: like exact mode's check, this depends on the codes only.
     """
     m = qa.k + qb.k
-    streams = min(jobs, samples)
-    need = 8 * (MC_CLASS_ARRAYS_PER_WORKER * streams + 2) << m
+    need = 16 << m
     if need > MAX_EXACT_BYTES:
         raise CapacityError(f"Monte Carlo needs {need} bytes for its counts over 2^{m} classes; "
                             f"the limit is {MAX_EXACT_BYTES}")
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
     assert dec_a.residual(0)[1] == dec_b.residual(0)[1] == 0, "image 0 must decode to class 0"
-    shape = (1 << qa.k, 1 << qb.k)
+    counts = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
     if not model.hit_rate:  # no entry is hit: nothing to draw
-        counts = np.zeros(shape, dtype=np.int64)
         counts[0, 0] = samples
         return counts
+    streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
     workers = min(streams, _usable_cores())
     cap = max(1, MC_BATCH_HITS // workers)
+    cells, lock = counts.ravel(), threading.Lock()
 
-    def draw(t: int) -> np.ndarray:
-        counts = np.zeros(shape, dtype=np.int64)
+    def draw(t: int) -> None:
         for w in range(t, streams, workers):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-            counts += _stream_counts(rng, base + (1 if w < extra else 0), model, cap, dec_a, dec_b)
-        return counts
+            for joint, hits in _stream_counts(rng, base + (1 if w < extra else 0), model, cap,
+                                              dec_a, dec_b):
+                with lock:
+                    cells[joint] += hits
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
-        return sum(pool.map(draw, range(workers)))
+        list(pool.map(draw, range(workers)))  # re-raises a worker's exception
+    return counts
 
 
 def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:

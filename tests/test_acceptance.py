@@ -31,7 +31,6 @@ from csspair import (
     check_cnot_transversal,
     check_cz_sufficient,
     check_cz_transversal,
-    exact_logical_fidelity,
     gf2,
     logical_z_representatives,
     make_mirrored_pair,
@@ -234,8 +233,10 @@ def test_protocol_weight1_bound_on_demo_pair(pair7_a, pair7_b, steane):
     u_b = _weight1_miscorrections(pair7_b.z_stab, logical_z_representatives(pair7_b))
     u_steane = (_weight1_miscorrections(steane.x_stab, steane.enc_a)
                 | _weight1_miscorrections(steane.z_stab, logical_z_representatives(steane)))
-    err_a = 1.0 - exact_logical_fidelity(pair7_a, pair7_b, ErrorModel(p, 0.0, 0.0))
-    err_b = 1.0 - exact_logical_fidelity(pair7_a, pair7_b, ErrorModel(0.0, p, 0.0))
+    cfg_a = ProtocolConfig(pair7_a, pair7_b, ErrorModel(p, 0.0, 0.0))
+    cfg_b = ProtocolConfig(pair7_a, pair7_b, ErrorModel(0.0, p, 0.0))
+    err_a = 1.0 - run_local_swapping(cfg_a).logical_fidelity
+    err_b = 1.0 - run_local_swapping(cfg_b).logical_fidelity
     stations = [(name, sorted(u), len(u) * single, err)
                 for name, u, err in (("A", u_a, err_a), ("B", u_b, err_b))]
     ok = (all(mass <= err <= mass + tail for _, _, mass, err in stations)
@@ -260,7 +261,7 @@ def test_protocol_montecarlo_agreement(pair7_a, pair7_b):
     """A 10^5-sample Monte Carlo run lands within 3 standard errors of
     the exact enumeration."""
     model = ErrorModel(0.01, 0.01, 0.0)
-    exact = exact_logical_fidelity(pair7_a, pair7_b, model)
+    exact = run_local_swapping(ProtocolConfig(pair7_a, pair7_b, model)).logical_fidelity
     rep = run_local_swapping(ProtocolConfig(
         qa=pair7_a, qb=pair7_b, model=model,
         mode="montecarlo", samples=100_000, seed=CORPUS_SEED))

@@ -10,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from csspair import BitMatrix, cli, load_css, repeater, save_css, with_encoding
+from csspair import BitMatrix, cli, load_css, repeater, save_css, transversality, with_encoding
 from csspair.cli import main
 from csspair.sampling import random_cnot_pair, random_css_code, scramble_encoding
 
@@ -255,6 +255,28 @@ def test_check_cnot_oracle_skips_codes_of_unequal_k(capsys, fixtures_dir):
     assert json.loads(out).keys().isdisjoint({"oracle", "warning"})
 
 
+def test_checker_oracle_disagreement_is_reported(capsys, monkeypatch, fixtures_dir):
+    # The real checker passes pair7; this oracle fails it.
+    def failing_oracle(qa, qb):
+        return transversality.oracle_cnot(qa, qb)._replace(ok=False)
+
+    monkeypatch.setitem(cli._GATES, "cnot", (transversality.check_cnot_transversal,
+                                             failing_oracle))
+    pair = (str(fixtures_dir / "pair7_station_a.code"), str(fixtures_dir / "pair7_station_b.code"))
+    code, out, _ = run_cli(capsys, "check-cnot", "--oracle", *pair)
+    payload = json.loads(out)
+    assert code == 0
+    assert payload["verdict"] is True and payload["oracle"]["ok"] is False
+    assert payload["checker_oracle_agree"] is False
+    assert payload["warning"] == "checker and oracle disagree; please report this input"
+    code, out, _ = run_cli(capsys, "verify", *pair)
+    payload = json.loads(out)
+    assert code == 1
+    assert payload["agreement"] is False
+    assert payload["cnot"]["checker_oracle_agree"] is False
+    assert payload["cz"]["checker_oracle_agree"] is True
+
+
 def test_simulate_zero_noise(capsys, fixtures_dir):
     code, out, _ = run_cli(capsys, "simulate", str(fixtures_dir / "sim_zero_noise.cfg"))
     assert code == 0
@@ -480,21 +502,22 @@ def test_simulate_bad_sweep_argument_is_named(capsys, fixtures_dir, spec):
     assert err.startswith(f"error: bad sweep argument {spec!r}: ")
 
 
-@pytest.mark.parametrize("seed, n, k, noise, exit_code", [
+@pytest.mark.parametrize("seed, n, k, keys, exit_code", [
     (3, 18, 14, "f1=0.01\nf2=0.01\n", 3),  # 2 GiB per dense class array
     (3, 18, 14, "", 3),  # no noise draws nothing, but the counts are still dense
     (5, 15, 11, "f1=0.01\nf2=0.01\n", 0),
+    (5, 15, 11, "f1=0.01\nf2=0.01\njobs=64\n", 0),  # one count array for all 64 streams
 ])
-def test_montecarlo_refuses_class_counts_past_the_byte_limit(tmp_path, seed, n, k, noise,
+def test_montecarlo_refuses_class_counts_past_the_byte_limit(tmp_path, seed, n, k, keys,
                                                              exit_code):
     save_css(random_css_code(np.random.default_rng(seed), n, k), tmp_path / "q.code")
     cfg = tmp_path / "mc.cfg"
-    cfg.write_text(f"codeA=q.code\ncodeB=q.code\n{noise}mode=montecarlo\nsamples=2000\nseed=1\n")
+    cfg.write_text(f"codeA=q.code\ncodeB=q.code\n{keys}mode=montecarlo\nsamples=2000\nseed=1\n")
     proc = _in_capped_child("simulate", str(cfg))
     assert proc.returncode == exit_code, proc.stderr
     if exit_code:
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"capacity error: Monte Carlo needs {5 * 8 << 2 * k} bytes "
+        assert proc.stderr.startswith(f"capacity error: Monte Carlo needs {16 << 2 * k} bytes "
                                       f"for its counts over 2^{2 * k} classes")
     else:
         assert json.loads(proc.stdout)["samples"] == 2000

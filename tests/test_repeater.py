@@ -17,7 +17,6 @@ from csspair import (
     decode_css,
     dual_basis,
     enumerate_error_patterns,
-    exact_logical_fidelity,
     load_config,
     make_classical,
     make_css,
@@ -25,7 +24,7 @@ from csspair import (
 )
 from csspair import gf2, repeater
 from csspair.errors import CapacityError, DimensionMismatchError, NonTransversalError, ParseError
-from csspair.sampling import random_cnot_pair, random_repaired_mirrored_pair
+from csspair.sampling import random_cnot_pair, random_css_code, random_repaired_mirrored_pair
 
 from conftest import HAMMING_ROWS, STANDARD_SELF_PAIRS, cyclic_code, x_checked_code
 
@@ -148,7 +147,7 @@ def test_exact_matches_pattern_enumeration(pair7_a, pair7_b):
         _, _, cls_b = decode_css(pair7_b, e_x, np.zeros(7))
         if not any(cls_a.z) and not any(cls_b.x):
             slow_ok += p
-    fast = exact_logical_fidelity(pair7_a, pair7_b, model)
+    fast = run_local_swapping(ProtocolConfig(pair7_a, pair7_b, model)).logical_fidelity
     assert fast == pytest.approx(slow_ok, abs=1e-12)
 
 
@@ -202,7 +201,8 @@ def test_steane_pair_matches_independent_hamming_decoder(steane):
     """Textbook cross-check: an independently coded [7,4] coset-leader
     decoder computes the same station-B success mass."""
     p = 0.01
-    fid = exact_logical_fidelity(steane, steane, ErrorModel(0.0, p, 0.0))
+    model = ErrorModel(0.0, p, 0.0)
+    fid = run_local_swapping(ProtocolConfig(steane, steane, model)).logical_fidelity
     simplex = dual_basis(BitMatrix.from_strings(HAMMING_ROWS))
     h = simplex.a
     leaders = {}
@@ -225,8 +225,10 @@ def test_steane_pair_matches_independent_hamming_decoder(steane):
 def test_distance3_pair_is_weight1_correctable(steane):
     p = 0.01
     bound = weight_tail_bound(7, p)
-    err_a = 1.0 - exact_logical_fidelity(steane, steane, ErrorModel(p, 0.0, 0.0))
-    err_b = 1.0 - exact_logical_fidelity(steane, steane, ErrorModel(0.0, p, 0.0))
+    cfg_a = ProtocolConfig(steane, steane, ErrorModel(p, 0.0, 0.0))
+    cfg_b = ProtocolConfig(steane, steane, ErrorModel(0.0, p, 0.0))
+    err_a = 1.0 - run_local_swapping(cfg_a).logical_fidelity
+    err_b = 1.0 - run_local_swapping(cfg_b).logical_fidelity
     assert err_a <= bound
     assert err_b <= bound
 
@@ -246,7 +248,8 @@ def test_fidelity_monotone_in_each_parameter(steane, pair7_a, pair7_b, param):
         for value in grid:
             kwargs = {"f1": 0.0, "f2": 0.0, "f3": 0.0}
             kwargs[param] = value
-            fids.append(exact_logical_fidelity(qa, qb, ErrorModel(**kwargs)))
+            cfg = ProtocolConfig(qa, qb, ErrorModel(**kwargs))
+            fids.append(run_local_swapping(cfg).logical_fidelity)
         assert all(a >= b - 1e-12 for a, b in zip(fids, fids[1:])), (param, fids)
 
 
@@ -275,7 +278,7 @@ def test_montecarlo_reproducible_and_consistent(pair7_a, pair7_b):
     rep1 = run_local_swapping(cfg)
     rep2 = run_local_swapping(cfg)
     assert rep1.to_dict() == rep2.to_dict()
-    exact = exact_logical_fidelity(pair7_a, pair7_b, model)
+    exact = run_local_swapping(ProtocolConfig(pair7_a, pair7_b, model)).logical_fidelity
     assert abs(rep1.logical_fidelity - exact) <= 3 * rep1.standard_error
 
 
@@ -341,8 +344,10 @@ def test_trivial_single_qubit_code_certain_error():
     # certain Z error is a certain logical error.
     full = make_css(make_classical(BitMatrix.identity(1)),
                     make_classical(BitMatrix.identity(1)))
-    assert exact_logical_fidelity(full, full, ErrorModel(1.0, 0.0, 0.0)) == 0.0
-    assert exact_logical_fidelity(full, full, ErrorModel(0.0, 0.0, 0.0)) == 1.0
+    certain = ProtocolConfig(full, full, ErrorModel(1.0, 0.0, 0.0))
+    noiseless = ProtocolConfig(full, full, ErrorModel(0.0, 0.0, 0.0))
+    assert run_local_swapping(certain).logical_fidelity == 0.0
+    assert run_local_swapping(noiseless).logical_fidelity == 1.0
 
 
 def test_error_model_rejects_non_finite():
@@ -454,7 +459,7 @@ def test_exact_capacity_checked_before_allocation():
     tracemalloc.start()
     try:
         with pytest.raises(CapacityError, match="2\\^30"):
-            exact_logical_fidelity(full, full, ErrorModel(0.01, 0.0, 0.0))
+            repeater._exact_breakdown(full, full, ErrorModel(0.01, 0.0, 0.0))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -466,10 +471,10 @@ def test_exact_working_set_within_byte_estimate():
     full = make_css(make_classical(BitMatrix.identity(9)),
                     make_classical(BitMatrix.identity(9)))
     model = ErrorModel(0.01, 0.02, 0.005)
-    exact_logical_fidelity(full, full, model)  # builds the decoders outside the trace
+    repeater._exact_breakdown(full, full, model)  # builds the decoders outside the trace
     tracemalloc.start()
     try:
-        fid = exact_logical_fidelity(full, full, model)
+        fid = repeater._exact_breakdown(full, full, model)[0, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -615,17 +620,21 @@ def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pair7_a, pair7_b):
     # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
+    # At high noise the [[14,7]] self-pair spreads each batch over most of its 2^14 class
+    # cells, so concurrent batches add into the same cells and a lost update would show.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
-    model = ErrorModel(0.05, 0.03, 0.01)
+    wide = random_css_code(np.random.default_rng(4), 14, 7)
     samples, seed, jobs = 5 * (2 * (1 << 15) + 1) + 3, 99, 5
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)  # many more thread switches than the default
-    try:
-        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-    finally:
-        sys.setswitchinterval(interval)
-    assert counts.dtype == np.int64
-    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
+    for qa, qb, model in ((pair7_a, pair7_b, ErrorModel(0.05, 0.03, 0.01)),
+                          (wide, wide, ErrorModel(0.2, 0.2, 0.1))):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # many more thread switches than the default
+        try:
+            counts = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts.dtype == np.int64
+        assert np.array_equal(counts, stream_reference_counts(qa, qb, model, samples, seed, jobs))
 
 
 def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pair7_b):
@@ -802,14 +811,15 @@ def test_perfect_code_leaders_fill_the_radius_t_ball(name):
 def test_hamming_exact_fidelity_matches_weight_enumerator(channel, f):
     q = standard_self_pair("hamming15")
     model = ErrorModel(**{"f1": 0.0, "f2": 0.0, "f3": 0.0, channel: f})
-    assert exact_logical_fidelity(q, q, model) == pytest.approx(
+    assert run_local_swapping(ProtocolConfig(q, q, model)).logical_fidelity == pytest.approx(
         perfect_code_fidelity("hamming15", f), abs=1e-12)
 
 
 def test_golay_exact_and_montecarlo_match_weight_enumerator(golay):
     model = ErrorModel(0.03, 0.0, 0.0)
     expected = perfect_code_fidelity("golay23", 0.03)
-    assert exact_logical_fidelity(golay, golay, model) == pytest.approx(expected, abs=1e-12)
+    fid = run_local_swapping(ProtocolConfig(golay, golay, model)).logical_fidelity
+    assert fid == pytest.approx(expected, abs=1e-12)
     cfg = ProtocolConfig(qa=golay, qb=golay, model=model, mode="montecarlo",
                          samples=200_000, seed=23)
     rep = run_local_swapping(cfg)
@@ -820,10 +830,10 @@ def test_golay_exact_and_montecarlo_match_weight_enumerator(golay):
 def test_single_channel_exact_propagates_one_station(golay, channel):
     # The pair's joint image has m = 24 bits (400 MB); the reached station has 12.
     model = ErrorModel(**{"f1": 0.0, "f2": 0.0, "f3": 0.0, channel: 0.03})
-    exact_logical_fidelity(golay, golay, ErrorModel(0.0, 0.0, 0.0))  # builds the decoders
+    repeater._exact_breakdown(golay, golay, ErrorModel(0.0, 0.0, 0.0))  # builds the decoders
     tracemalloc.start()
     try:
-        fid = exact_logical_fidelity(golay, golay, model)
+        fid = repeater._exact_breakdown(golay, golay, model)[0, 0]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
