@@ -17,12 +17,15 @@ Exact mode never lists the 4^n error patterns: it propagates the joint
 distribution of both stations' images, 2^m values with m <= n + k for
 CNOT-transversal pairs, one qubit at a time, then folds each station's
 images onto its residual classes.  Monte Carlo mode samples
-patterns and maps them through the same packed columns.  It draws only
-the (row, qubit) entries the channel hits, one pair of uniforms per hit
-(the geometric gap to it and its species), so a sample costs O(n h)
-with h = f1 + f2 + f3, not O(n).  A row with no hit has image 0 at both
+patterns and maps them through the same packed columns.  It draws each
+row's hit count first, Binomial(n, h) with h = f1 + f2 + f3, as one
+multinomial per seed stream.  A row with no hit has image 0 at both
 stations: syndrome 0, whose leader is the empty error with class 0, so
-it counts as class (0, 0) without being decoded.
+it counts as class (0, 0) without being decoded.  The rows with one hit
+are split over the channel's (species, qubit) cells by one more
+multinomial and read a per-cell class table.  Only the rows with two or
+more hits are drawn hit by hit, one pair of uniforms per hit, and
+decoded, so a stream costs O(n) plus those rows.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -60,18 +63,15 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo draws one (U, V) pair of uniforms per channel hit, and its
-# workers together hold at most MC_BATCH_HITS hits: each of W workers draws
-# its seed streams in batches of at most max(MC_BATCH_HITS // W, n + 1)
-# pairs, n + 1 so that a row a batch ends inside can be carried over.  A
-# batch's working set stays within MC_BYTES_PER_HIT per pair, whatever the
-# sample count or noise: the two float64 draws, then two masks and a few
-# int64 vectors over the hits and over the rows they hit (at most one per hit).
-MC_BATCH_HITS = 1 << 16
-MC_BYTES_PER_HIT = 96
-# A longer gap between hits reads as this many entries with no hit (see
-# _channel_hits), so a batch's gaps sum to less than 2^62.
-MC_MAX_GAP = 1 << 32
+# Monte Carlo draws each row's hit count first, and only the rows with two or
+# more hits are drawn hit by hit, MC_CHUNK_ROWS rows at a time.  The chunk is
+# a constant, so the draw does not depend on the worker count.  Each of W
+# workers holds one chunk at a time, within MC_BYTES_PER_ROW bytes per row
+# (4 MiB) whatever n, the sample count or the noise: the rows' hit counts,
+# Floyd bitmasks and two images, one step's uniforms and cells, then the
+# decoded classes and their `np.unique`.  Measured peaks reach 114 bytes per row.
+MC_CHUNK_ROWS = 1 << 15
+MC_BYTES_PER_ROW = 128
 
 
 class _BadValue(ValueError):
@@ -389,101 +389,85 @@ def _exact_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel) -> np.ndarray:
 
 
 def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
-    """Per logical pair j: probability its Bell pair survives untouched."""
+    """Per logical pair j: probability its Bell pair survives untouched.
+
+    Bit j of both class indices is its own axis of a reshaped view, so
+    the cells where both bits are 0 are summed in place, with no copy.
+    """
     out = []
-    za = np.arange(breakdown.shape[0])
-    xb = np.arange(breakdown.shape[1])
     for j in range(k):
-        bit = 1 << (k - 1 - j)
-        ok_a = (za & bit) == 0
-        ok_b = (xb & bit) == 0
-        out.append(float(breakdown[np.ix_(ok_a, ok_b)].sum()))
+        high, low = 1 << j, 1 << (k - 1 - j)
+        out.append(float(breakdown.reshape(high, 2, low, high, 2, low)[:, 0, :, :, 0, :].sum()))
     return out
 
 
-def _channel_hits(pairs: np.ndarray, model: ErrorModel) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gap before each channel hit and the hit's species, one (U, V) row of `pairs` per hit.
+def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cells_a: np.ndarray,
+                   cells_b: np.ndarray, single: np.ndarray, joint):
+    """Yield (joint classes, counts) of `rows` samples drawn from one seed stream.
 
-    The channel hits each (row, qubit) entry independently with
-    h = f1 + f2 + f3 > 0, so the gap from one hit to the next is
-    Geometric(h) on {1, 2, ...}: by inversion, 1 + floor(log1p(-U) /
-    log1p(-h)), which is 1 for every U when h = 1.  V h < f1 makes the hit
-    Z on A (z), f1 <= V h < f1 + f2 X on B (x), and the rest both.
+    The channel hits each of a row's n qubits independently with
+    h = f1 + f2 + f3, so the row's hit count J is Binomial(n, h).  Given
+    J = j, the hits sit on a uniform j-subset of the qubits, and each is Z on
+    A, X on B or both with probability f1 / h, f2 / h, f3 / h: it is one of
+    the cells s * n + q (species s, qubit q), which add `cells_a[s * n + q]`
+    and `cells_b[s * n + q]` to the stations' packed images.  The stream is
+    read in this order:
 
-    A gap longer than MC_MAX_GAP reads as MC_MAX_GAP entries, the last
-    with neither species.  The wait for a hit is memoryless, so the next
-    gap starts afresh and the hits keep their law, and no int64 sum of a
-    batch's gaps can overflow, however many samples a stream holds.
+    - One multinomial splits the rows over j = 0..n.  numpy gives its last
+      category the remainder, so the categories go in ascending order of
+      probability: one of probability 0 is never drawn, and rounding lands
+      on the likeliest.  The J = 0 rows have image 0 at both stations and
+      count as class (0, 0).
+    - One multinomial over the cells the channel can hit splits the J = 1
+      rows; `single` holds each cell's joint class, and the cell counts are
+      folded onto distinct classes.
+    - The J >= 2 rows, by descending j, are drawn MC_CHUNK_ROWS rows at a
+      time, so a stream costs O(n) plus its rows with two or more hits.
+      Floyd's algorithm places a row's hits: step i, with t = n - j + i,
+      takes qubit floor(U (t + 1)), or t when that one is taken (a bitmask
+      per row), so the j qubits are a uniform j-subset.  Step i reads one
+      (U, V) pair of uniforms for each of the chunk's rows with more than i
+      hits; V h picks the species, split at f1 and f1 + f2.  The chunk's
+      images go through `joint`, which decodes them to joint classes
+      class_a << kB | class_b.
+
+    The counts of one yield are over distinct classes.
     """
-    f1, f2, h = model.f1, model.f2, model.hit_rate
-    scale = math.log1p(-h) if h < 1 else -math.inf
-    wait = np.log1p(-pairs[:, 0])
-    np.maximum(wait, scale * (MC_MAX_GAP + 1), out=wait)  # bounds the quotient below
-    wait /= scale
-    gaps = wait.astype(np.int64)  # floor, as wait >= 0
-    gaps += 1
-    del wait
-    kind = pairs[:, 1] * h
-    z = (kind < f1) | (kind >= f1 + f2)
-    x = kind >= f1
-    long = np.flatnonzero(gaps > MC_MAX_GAP)
-    gaps[long] = MC_MAX_GAP
-    z[long] = x[long] = False
-    return gaps, z, x
-
-
-def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cap: int,
-                   dec_a: _SyndromeDecoder, dec_b: _SyndromeDecoder):
-    """Yield (joint classes, counts) of `rows` samples drawn hit by hit from one seed stream.
-
-    The rows' (row, qubit) entries are read as one flat run, row after
-    row, and the stream as one (U, V) pair per hit (see _channel_hits).
-    Pairs are drawn in batches of about the hits still expected, at most
-    max(cap, n + 1), and `rng.random` reads the stream pair by pair, so
-    the counts do not depend on the batch sizes.  A batch is decoded up
-    to its last row, which may get more hits: that row's pairs are
-    carried over to the next batch.  Each hit XORs its qubit's packed
-    column into its row's image at every station it reaches, one
-    `reduceat` per station over the hits in row order, and the batch
-    yields its distinct joint classes class_a << kB | class_b.  A row with
-    no hit has image 0 at both stations, class (0, 0): the last yield
-    counts those rows as class 0 without decoding them.
-    """
-    n = dec_a.columns.size
-    entries = rows * n
-    last = -1  # the entry of the last decoded hit
-    decoded = 0  # rows with a decoded hit
-    kept = np.empty((0, 2))
-    while True:
-        left = entries - last  # a hit g entries past `last` lies in the stream iff g < left
-        expected = left * max(model.hit_rate, 1 / MC_MAX_GAP)  # pairs still to draw
-        size = max(len(kept) + 1, min(cap, int(expected + 4 * math.sqrt(expected)) + 8))
-        pairs = np.empty((size, 2))
-        pairs[:len(kept)] = kept
-        rng.random(out=pairs[len(kept):])
-        offset, z, x = _channel_hits(pairs, model)
-        np.cumsum(offset, out=offset)  # gaps to entries past `last`, below 2^62 (see MC_MAX_GAP)
-        got = int(np.searchsorted(offset, min(left, 1 << 62)))
-        at = offset[:got] + last % n  # entries past the start of the row of `last`
-        row = at // n
-        ended = got < size
-        if not ended:
-            got = int(np.searchsorted(row, row[-1]))
-            kept = pairs[got:].copy()
-        del pairs
-        if got:
-            # Each hit row's first hit; the batch's first hit lies past the row of `last`.
-            first = np.flatnonzero(np.r_[True, row[1:got] != row[:got - 1]])
-            qubit = at[:got] - row[:got] * n
-            last += int(offset[got - 1])
-            del offset, at, row  # freed before the column gathers, which set the peak working set
-            _, class_a = dec_a.residual(np.bitwise_xor.reduceat(dec_a.columns[qubit] * z[:got], first))
-            _, class_b = dec_b.residual(np.bitwise_xor.reduceat(dec_b.columns[qubit] * x[:got], first))
-            yield np.unique(class_a << dec_b.k | class_b, return_counts=True)
-            decoded += first.size
-        if ended:
-            yield 0, rows - decoded
-            return
+    n = cells_a.size // 3
+    hit = min(model.hit_rate, 1.0)  # ErrorModel admits sums up to 1 + 1e-12
+    j = np.arange(n + 1)
+    pmf = np.array([math.comb(n, i) for i in j], dtype=float) * hit**j * (1.0 - hit) ** (n - j)
+    order = np.argsort(pmf, kind="stable")
+    per_j = np.empty(n + 1, dtype=np.int64)
+    per_j[order] = rng.multinomial(rows, pmf[order])
+    yield 0, per_j[0]
+    weights = np.repeat([model.f1, model.f2, model.f3], n) / (model.hit_rate * n)
+    live = np.flatnonzero(weights)
+    classes, fold = np.unique(single[live], return_inverse=True)
+    ones = np.zeros(classes.size, dtype=np.int64)
+    np.add.at(ones, fold, rng.multinomial(per_j[1], weights[live]))
+    yield classes, ones
+    edges = np.zeros(n, dtype=np.int64)  # where the runs of rows with n, n - 1, ..., 2 hits start
+    np.cumsum(per_j[:1:-1], out=edges[1:])
+    f1, f12 = model.f1, model.f1 + model.f2
+    for lo in range(0, rows - int(per_j[0]) - int(per_j[1]), MC_CHUNK_ROWS):
+        cut = np.minimum(np.maximum(edges, lo), lo + MC_CHUNK_ROWS)
+        hits = np.repeat(np.arange(n, 1, -1), cut[1:] - cut[:-1])
+        first = n - hits  # Floyd's first t
+        taken = np.zeros(hits.size, dtype=np.int64)
+        img_a = np.zeros(hits.size, dtype=np.int64)
+        img_b = np.zeros(hits.size, dtype=np.int64)
+        for i, a in enumerate(np.searchsorted(-hits, -np.arange(hits[0]))):  # rows with hits > i
+            u, v = rng.random((2, a))
+            t = first[:a] + i
+            pos = (u * (t + 1)).astype(np.int64)
+            pos += (taken[:a] >> pos & 1) * (t - pos)  # t where pos is taken
+            taken[:a] |= 1 << pos
+            v *= model.hit_rate
+            pos += n * (v >= f1) + n * (v >= f12)  # the cell: species Z, X or both
+            img_a[:a] ^= cells_a[pos]
+            img_b[:a] ^= cells_b[pos]
+        yield np.unique(joint(img_a, img_b), return_counts=True)
 
 
 def _usable_cores() -> int:
@@ -506,25 +490,29 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     SeedSequence(seed).spawn; no list of children is held, so memory
     does not grow with the stream count.
 
-    Each stream draws only the channel's hits: one (U, V) pair of
-    uniforms per hit, the gap to it and its species (see _channel_hits
-    and _stream_counts), so a stream costs O(rows n h) with
-    h = f1 + f2 + f3, and h = 0 draws nothing.
+    Each stream draws its rows' hit counts first (see _stream_counts):
+    rows with no hit or one hit cost O(n) per stream, and only the rows
+    with two or more hits are drawn hit by hit and decoded, one (U, V)
+    pair of uniforms per hit.  h = f1 + f2 + f3 = 0 draws nothing.  Each
+    cell (species, qubit) of the channel is one entry of `cells_a`,
+    `cells_b` and the one-hit class table, which `residual` builds once
+    per run.
 
     The streams are drawn in parallel by W = min(streams, usable cores)
-    worker threads: worker t draws streams t, t + W, ... in batches of
-    at most MC_BATCH_HITS // W hits, and adds each batch's class counts
-    into the run's one int64 count array under a lock.  Integer sums do
-    not depend on order, and a stream's counts do not depend on its
-    batches, so the counts do not depend on W.  Workers call only private
-    functions and methods, so a tracer that wraps the public functions
-    keeps one span stack, and the numpy loops they run release the
-    interpreter lock.  The count array and the report's float64 copy,
-    16 bytes per class pair, must fit MAX_EXACT_BYTES before the array
-    is allocated: like exact mode's check, this depends on the codes only.
+    worker threads: worker t draws streams t, t + W, ..., one chunk of
+    at most MC_CHUNK_ROWS rows at a time, and adds each yield's class
+    counts into the run's one int64 count array under a lock.  Integer
+    sums do not depend on order, and a stream's draw does not depend on
+    W, so neither do the counts.  Workers call only private functions
+    and methods, so a tracer that wraps the public functions keeps one
+    span stack, and the numpy loops they run release the interpreter
+    lock.  The count array, the report's float64 copy and its nonzero
+    mask, 17 bytes per class pair, must fit MAX_EXACT_BYTES before the
+    array is allocated: like exact mode's check, this depends on the
+    codes only.
     """
     m = qa.k + qb.k
-    need = 16 << m
+    need = 17 << m
     if need > MAX_EXACT_BYTES:
         raise CapacityError(f"Monte Carlo needs {need} bytes for its counts over 2^{m} classes; "
                             f"the limit is {MAX_EXACT_BYTES}")
@@ -535,19 +523,27 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     if not model.hit_rate:  # no entry is hit: nothing to draw
         counts[0, 0] = samples
         return counts
+    # Cell s * n + q is species s (0: Z on A, 1: X on B, 2: both) on qubit q.
+    zero = np.zeros(qa.n, dtype=np.int64)
+    cells_a = np.concatenate([dec_a.columns, zero, dec_a.columns])
+    cells_b = np.concatenate([zero, dec_b.columns, dec_b.columns])
+
+    def joint(img_a: np.ndarray, img_b: np.ndarray) -> np.ndarray:
+        return dec_a.residual(img_a)[1] << dec_b.k | dec_b.residual(img_b)[1]
+
+    single = joint(cells_a, cells_b)
     streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
     workers = min(streams, _usable_cores())
-    cap = max(1, MC_BATCH_HITS // workers)
     cells, lock = counts.ravel(), threading.Lock()
 
     def draw(t: int) -> None:
         for w in range(t, streams, workers):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-            for joint, hits in _stream_counts(rng, base + (1 if w < extra else 0), model, cap,
-                                              dec_a, dec_b):
+            for classes, hits in _stream_counts(rng, base + (1 if w < extra else 0), model,
+                                                cells_a, cells_b, single, joint):
                 with lock:
-                    cells[joint] += hits
+                    cells[classes] += hits
 
     with ThreadPoolExecutor(max_workers=workers) as pool:
         list(pool.map(draw, range(workers)))  # re-raises a worker's exception
@@ -581,8 +577,9 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
         if seed is None:
             seed = secrets.randbits(32)
         counts = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, samples, seed, cfg.jobs)
-        breakdown = counts / float(samples)
         rate = (samples - int(counts[0, 0])) / samples
+        breakdown = counts / float(samples)
+        del counts  # the report reads only its float64 copy, and that copy's mask below
     fid = float(breakdown[0, 0])
     stderr = None if cfg.mode == "exact" else float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
     za, xb = np.nonzero(breakdown > 0.0)  # row-major; skips a rounding-level negative cell

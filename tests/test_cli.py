@@ -517,7 +517,7 @@ def test_montecarlo_refuses_class_counts_past_the_byte_limit(tmp_path, seed, n, 
     assert proc.returncode == exit_code, proc.stderr
     if exit_code:
         assert proc.stdout == ""
-        assert proc.stderr.startswith(f"capacity error: Monte Carlo needs {16 << 2 * k} bytes "
+        assert proc.stderr.startswith(f"capacity error: Monte Carlo needs {17 << 2 * k} bytes "
                                       f"for its counts over 2^{2 * k} classes")
     else:
         assert json.loads(proc.stdout)["samples"] == 2000

@@ -52,6 +52,7 @@ GF2_GOLDEN = GOLDEN.parent / "gf2_outputs.json"
 LINK_GOLDEN = GOLDEN.parent / "link_reports.json"
 # (f1, f2, f3): both channels and the correlated one, f3 = 0, one channel, noiseless.
 EXACT_MODELS = [(0.02, 0.005, 0.001), (0.01, 0.01, 0.0), (0.03, 0.0, 0.0), (0.0, 0.0, 0.0)]
+MONTECARLO_MODEL = (0.02, 0.01, 0.005)
 
 
 def golden_corpus() -> list[tuple[str, object, object]]:
@@ -149,7 +150,7 @@ def link_golden_text() -> str:
         for f in EXACT_MODELS:
             report = run_local_swapping(replace(cfg, model=ErrorModel(*f)))
             records.append({"pair": label, "model": f, "report": report.to_dict()})
-        report = run_local_swapping(replace(cfg, model=ErrorModel(0.02, 0.01, 0.005),
+        report = run_local_swapping(replace(cfg, model=ErrorModel(*MONTECARLO_MODEL),
                                             mode="montecarlo", samples=300, seed=i, jobs=2))
         records.append({"pair": label, "montecarlo": True, "report": report.to_dict()})
     for path in sorted(FIXTURES.glob("*.cfg")):
@@ -169,6 +170,35 @@ def test_gf2_outputs_match_golden():
 
 def test_link_reports_match_golden():
     assert link_golden_text().encode("utf-8") == LINK_GOLDEN.read_bytes()
+
+
+def test_link_montecarlo_records_within_5_sigma_of_exact():
+    """Each Monte Carlo record lies within 5 sigma of exact mode.
+
+    The fidelity and every per-pair marginal is the fraction of samples in
+    a set of classes, so each must lie within 5 binomial standard errors
+    sqrt(p (1 - p) / samples) of exact mode's p.  A class that exact mode
+    gives no mass must hold no sample.
+    """
+    pairs = {label: (qa, qb) for label, qa, qb in golden_corpus()}
+    checked = 0
+    for record in json.loads(LINK_GOLDEN.read_text(encoding="utf-8")):
+        report = record["report"]
+        if report["mode"] != "montecarlo":
+            continue
+        if "config" in record:
+            cfg = load_config(FIXTURES / record["config"])
+        else:
+            cfg = ProtocolConfig(*pairs[record["pair"]], ErrorModel(*MONTECARLO_MODEL),
+                                 allow_nontransversal=True)
+        exact = run_local_swapping(replace(cfg, mode="exact", samples=0, seed=None, jobs=1))
+        assert report["class_breakdown"].keys() <= exact.class_breakdown.keys(), record
+        for got, p in zip([report["logical_fidelity"], *report["per_pair_marginals"]],
+                          [exact.logical_fidelity, *exact.per_pair_marginals]):
+            p = min(p, 1.0)
+            assert abs(got - p) <= 5 * np.sqrt(p * (1 - p) / report["samples"]), (record, p)
+        checked += 1
+    assert checked == 57
 
 
 def test_golden_corpus_has_late_witnesses():

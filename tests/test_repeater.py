@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
 from math import comb
@@ -482,18 +483,6 @@ def test_exact_working_set_within_byte_estimate():
     assert peak <= (repeater.EXACT_BYTES_PER_IMAGE << 18) + (1 << 20)
 
 
-def test_montecarlo_chunks_match_one_shot_draw(monkeypatch, pair7_a, pair7_b):
-    """Batched draws consume each seed stream exactly like one draw of all its pairs."""
-    monkeypatch.setattr(repeater, "MC_BATCH_HITS", 1 << 11)  # several batches per stream
-    model = ErrorModel(0.02, 0.01, 0.005)
-    samples, seed, jobs = 2 * (1 << 15) + 7, 31337, 2
-    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-    for w in range(jobs):
-        block = samples // jobs + (1 if w < samples % jobs else 0)
-        assert block * 7 * model.hit_rate > 2 * repeater.MC_BATCH_HITS
-    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
-
-
 def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
     # One draw of 4e5 x 7 doubles would take 22 MB; chunks stay near 4 MB.
     cfg = ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.01, 0.0),
@@ -508,47 +497,91 @@ def test_montecarlo_memory_bounded_in_samples(pair7_a, pair7_b):
     assert peak < 12 << 20
 
 
-def stream_reference_counts(qa, qb, model, samples, seed, jobs):
-    """Class counts from each stream's hit pairs, drawn in one call, via tables().
+def test_montecarlo_report_within_class_byte_estimate():
+    # 2^24 class pairs at 17 bytes each, as the byte check counts them: the int64 counts,
+    # the report's float64 copy and that copy's nonzero mask.  All three alive at once,
+    # with anything else, would not fit.
+    q = random_css_code(np.random.default_rng(5), 16, 12)
+    cfg = ProtocolConfig(q, q, ErrorModel(0.01, 0.01, 0.0), mode="montecarlo", samples=2000, seed=1)
+    run_local_swapping(replace(cfg, samples=1))  # builds the decoders outside the trace
+    tracemalloc.start()
+    try:
+        report = run_local_swapping(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(report.per_pair_marginals) == 12
+    assert peak <= 17 << 24
 
-    Stream w reads its rows' (row, qubit) entries as one flat run and draws
-    one (U, V) pair per hit: the gap to the hit is 1 + floor(log1p(-U) /
-    log1p(-h)), its species Z on A when V h < f1 or V h >= f1 + f2, X on B
-    when V h >= f1.  Every row is then decoded whole through the 2^n tables.
-    No gap reaches MC_MAX_GAP at the rates the tests use.
+
+def stream_reference_counts(qa, qb, model, samples, seed, jobs):
+    """Class counts of each stream's rows, drawn as `_stream_counts` reads the stream, via tables().
+
+    Stream w splits its rows by hit count j = 0..n with one multinomial whose
+    categories go in ascending order of probability, and the one-hit rows
+    over the (species, qubit) cells of nonzero rate with another.  The rows
+    with j >= 2 go by descending j, MC_CHUNK_ROWS rows at a time, and Floyd's
+    algorithm places their hits: step i reads the U of every row with more
+    than i hits, then their V; the hit lands on qubit floor(U (t + 1)) with
+    t = n - j + i, or on t when that qubit is already hit, and V h picks Z on
+    A below f1, X on B from f1 to f1 + f2, and both above.  Every row is then
+    an (e_z, e_x) pair of error ints decoded whole through the 2^n tables.
     """
     n = qa.n
     _, class_a = repeater._station_decoder(qa, "z").tables()
     _, class_b = repeater._station_decoder(qb, "x").tables()
     f1, f2, h = model.f1, model.f2, model.hit_rate
-    powers = 1 << np.arange(n - 1, -1, -1)
+    hit = min(h, 1.0)
+    pmf = np.array([comb(n, j) * hit**j * (1 - hit) ** (n - j) for j in range(n + 1)])
+    order = np.argsort(pmf, kind="stable")
+    bit = 1 << np.arange(n - 1, -1, -1)  # qubit q's bit in an error int
     streams = min(jobs, samples)
     expected = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
     for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
-        block = samples // streams + (1 if w < samples % streams else 0)
-        z = np.zeros(block * n, dtype=bool)
-        x = np.zeros(block * n, dtype=bool)
-        if h:
-            draws = int(block * n * h + 10 * np.sqrt(block * n * h)) + 100
-            u, v = np.random.default_rng(child).random((draws, 2)).T
-            with np.errstate(divide="ignore"):  # log1p(-1) = -inf: every gap is 1
-                gaps = 1 + np.floor(np.log1p(-u) / np.log1p(-h))
-            entry = np.cumsum(gaps).astype(np.int64) - 1
-            assert entry[-1] >= block * n, "draw more pairs"
-            inside = entry < block * n
-            entry, kind = entry[inside], v[inside] * h
-            z[entry[(kind < f1) | (kind >= f1 + f2)]] = True
-            x[entry[kind >= f1]] = True
-        rows_z, rows_x = z.reshape(block, n) @ powers, x.reshape(block, n) @ powers
-        np.add.at(expected, (class_a[rows_z], class_b[rows_x]), 1)
+        rows = samples // streams + (1 if w < samples % streams else 0)
+        if not h:
+            expected[0, 0] += rows
+            continue
+        rng = np.random.default_rng(child)
+        per_j = np.zeros(n + 1, dtype=np.int64)
+        per_j[order] = rng.multinomial(rows, pmf[order])
+        assert per_j.sum() == rows and not per_j[pmf == 0].any()
+        expected[0, 0] += per_j[0]
+        cell_p = np.repeat([model.f1, model.f2, model.f3], n) / (h * n)
+        species, qubit = np.divmod(np.flatnonzero(cell_p), n)
+        one_z = np.where(species != 1, bit[qubit], 0)  # Z on A, or both
+        one_x = np.where(species != 0, bit[qubit], 0)  # X on B, or both
+        np.add.at(expected, (class_a[one_z], class_b[one_x]),
+                  rng.multinomial(per_j[1], cell_p[cell_p > 0]))
+        every = np.repeat(np.arange(n, 1, -1), per_j[:1:-1])
+        for lo in range(0, every.size, repeater.MC_CHUNK_ROWS):
+            hits = every[lo:lo + repeater.MC_CHUNK_ROWS]
+            row = np.arange(hits.size)
+            taken = np.zeros((hits.size, n), dtype=bool)
+            e_z = np.zeros(hits.size, dtype=np.int64)
+            e_x = np.zeros(hits.size, dtype=np.int64)
+            for i in range(hits.max()):
+                a = np.count_nonzero(hits > i)
+                u, v = rng.random((2, a))
+                t = n - hits[:a] + i
+                pos = np.floor(u * (t + 1)).astype(np.int64)
+                pos = np.where(taken[row[:a], pos], t, pos)
+                taken[row[:a], pos] = True
+                kind = v * h
+                e_z[:a] |= np.where((kind < f1) | (kind >= f1 + f2), bit[pos], 0)
+                e_x[:a] |= np.where(kind >= f1, bit[pos], 0)
+            assert np.array_equal(taken.sum(axis=1), hits)
+            np.add.at(expected, (class_a[e_z], class_b[e_x]), 1)
     return expected
 
 
 @pytest.mark.parametrize("f", [(0.0, 0.0, 0.0), (0.3, 0.3, 0.4), (0.05, 0.0, 0.01),
-                               (0.0, 0.05, 0.01), (0.0, 0.0, 1.0)])
+                               (0.0, 0.05, 0.01), (0.0, 0.0, 1.0), (0.3, 0.3, 0.4 + 5e-13),
+                               (0.0, 0.0, 1.0 + 5e-13)])
 @pytest.mark.parametrize("pair", ["pair7", "random15"])
 def test_montecarlo_sparse_fold_matches_dense_reference_at_edge_models(pair, f, pair7_a, pair7_b):
-    # No hits; every entry a hit (f0 = 0); coinciding thresholds; certain correlated errors.
+    # No hits; every entry a hit (f0 = 0); coinciding thresholds; certain correlated errors;
+    # noise sums just above 1, which ErrorModel admits: 1 - h is clamped at 0.
     qa, qb = (pair7_a, pair7_b) if pair == "pair7" else random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(*f)
     samples, seed, jobs = (1 << 15) + 3, 4242, 3
@@ -583,12 +616,16 @@ def test_montecarlo_stream_seeds_do_not_grow_memory(pair7_a, pair7_b):
     assert peak < 128 << 10
 
 
+def chunk_estimate(workers):
+    """Monte Carlo's working set: one chunk per worker thread."""
+    return workers * repeater.MC_CHUNK_ROWS * repeater.MC_BYTES_PER_ROW
+
+
 def test_montecarlo_working_set_within_chunk_estimate():
-    # f0 = 0: every entry is a hit, one batch of MC_BATCH_HITS pairs at a time.
+    # f0 = 0: every row has n = 15 hits, one full chunk at a time.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
-    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
     for samples in (1 << 15, 1 << 17):
         tracemalloc.start()
         try:
@@ -597,16 +634,15 @@ def test_montecarlo_working_set_within_chunk_estimate():
         finally:
             tracemalloc.stop()
         assert counts.sum() == samples
-        assert peak <= estimate, samples
+        assert peak <= chunk_estimate(1), samples
 
 
 def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
-    # Nearly every hit starts its own row, so the row vectors are as long as the hit vectors.
+    # 2^22 rows, of which about 1,900 hold two or more hits: one partial chunk.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.001, 0.001, 0.0001)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
-    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
-    samples = 1 << 22  # about twice MC_BATCH_HITS hits
+    samples = 1 << 22
     tracemalloc.start()
     try:
         counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
@@ -614,14 +650,14 @@ def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
     finally:
         tracemalloc.stop()
     assert counts.sum() == samples
-    assert peak <= estimate
+    assert peak <= chunk_estimate(1)
 
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pair7_a, pair7_b):
     # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
-    # At high noise the [[14,7]] self-pair spreads each batch over most of its 2^14 class
-    # cells, so concurrent batches add into the same cells and a lost update would show.
+    # At high noise the [[14,7]] self-pair spreads each chunk over most of its 2^14 class
+    # cells, so concurrent chunks add into the same cells and a lost update would show.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
     wide = random_css_code(np.random.default_rng(4), 14, 7)
     samples, seed, jobs = 5 * (2 * (1 << 15) + 1) + 3, 99, 5
@@ -665,12 +701,11 @@ def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pa
 
 
 def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch):
-    # Two workers, each drawing MC_BATCH_HITS // 2 pairs at a time, with every entry a hit.
+    # Two workers, each holding one full chunk of rows with n = 15 hits.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
-    estimate = repeater.MC_BATCH_HITS * repeater.MC_BYTES_PER_HIT
     for samples in (1 << 15, 1 << 17):
         tracemalloc.start()  # traces the allocations of every thread
         try:
@@ -679,21 +714,36 @@ def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch
         finally:
             tracemalloc.stop()
         assert counts.sum() == samples
-        assert peak <= estimate, samples
+        assert peak <= chunk_estimate(2), samples
+
+
+def rows_past_one_hit(model, samples, streams):
+    """The expected rows with two or more hits in each of `streams` streams on n = 7."""
+    h = model.hit_rate
+    return samples // streams * (1 - (1 - h) ** 7 - 7 * h * (1 - h) ** 6)
 
 
 @pytest.mark.parametrize("cores", [1, 2])
-def test_montecarlo_counts_do_not_depend_on_batch_size(cores, monkeypatch, pair7_a, pair7_b):
-    # A batch of 1 or 7 pairs carries nearly every hit row over to the next batch.
+def test_montecarlo_chunk_boundaries_match_reference(cores, monkeypatch, pair7_a, pair7_b):
+    # A chunk of 1 or 7 rows ends inside nearly every run of equal hit counts.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
     model = ErrorModel(0.1, 0.1, 0.05)
     samples, seed, jobs = 3000, 11, 2
-    counts = {}
-    for batch in (1, 7, repeater.MC_BATCH_HITS):
-        monkeypatch.setattr(repeater, "MC_BATCH_HITS", batch)
-        counts[batch] = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-    reference = stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs)
-    assert all(np.array_equal(c, reference) for c in counts.values())
+    for chunk in (1, 7):  # the reference reads MC_CHUNK_ROWS too
+        monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", chunk)
+        assert rows_past_one_hit(model, samples, jobs) > chunk
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
+        reference = stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs)
+        assert np.array_equal(counts, reference), chunk
+
+
+def test_montecarlo_default_chunks_match_reference(pair7_a, pair7_b):
+    """At the default chunk size each of the two streams spans two chunks."""
+    model = ErrorModel(0.2, 0.1, 0.05)
+    samples, seed, jobs = 2 * (1 << 16) + 7, 11, 2
+    assert rows_past_one_hit(model, samples, jobs) > repeater.MC_CHUNK_ROWS
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
+    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
 
 
 def test_montecarlo_without_hits_draws_nothing(monkeypatch, pair7_a, pair7_b):
@@ -714,33 +764,38 @@ def within(count, trials, p, sigmas=5.0):
     return abs(count - trials * p) <= sigmas * np.sqrt(trials * p * (1 - p))
 
 
-def test_channel_hits_follow_the_channel_law():
-    """Hit rate per qubit, species split and gap law of the drawn hits, each within 5 sigma.
+@pytest.mark.parametrize("n, f", [(4, (0.2, 0.15, 0.1)), (5, (0.3, 0.0, 0.25)),
+                                  (5, (0.04, 0.03, 0.02)), (3, (0.0, 0.0, 1.0))])
+def test_montecarlo_rows_follow_the_channel_law(n, f):
+    """Sampled row patterns against the exact product law: a chi-square test at a fixed seed.
 
-    Read through `_channel_hits` only, against the channel's probabilities:
-    an off-by-one gap or swapped species thresholds in the sampler, which
-    the stream reference would copy, fail here.
+    On the [[n,n]] code with no checks, both decoders are the identity: a
+    row's class pair (zA, xB) is its error pattern, Z on A and X on B.  So
+    the counts are the sampler's pattern counts with no decoding between,
+    against P(pattern) = prod over qubits of (f0, f1, f2, f3)[digit].  An
+    off-by-one position, a biased subset draw or swapped species thresholds,
+    which the stream reference would copy, fail here.
     """
-    model = ErrorModel(0.05, 0.03, 0.02)
-    f1, f2, f3, h = model.f1, model.f2, model.f3, model.hit_rate
-    n, entries = 7, 2_100_000
-    pairs = np.random.default_rng(20261019).random((int(entries * h * 1.05), 2))
-    gaps, z, x = repeater._channel_hits(pairs, model)
-    entry = np.cumsum(gaps) - 1
-    assert entry[-1] >= entries
-    inside = entry < entries
-    entry, z, x, gaps = entry[inside], z[inside], x[inside], gaps[inside]
-    assert (z | x).all()
-    per_qubit = np.bincount(entry % n, minlength=n)
-    assert all(within(c, entries // n, h) for c in per_qubit), per_qubit
-    hits = entry.size
-    for count, p in ((np.sum(z & ~x), f1), (np.sum(x & ~z), f2), (np.sum(z & x), f3)):
-        assert within(count, hits, p / h), (count, hits, p / h)
-    histogram = np.bincount(gaps, minlength=41)
-    assert histogram[0] == 0
-    for g in range(1, 41):
-        assert within(histogram[g], hits, (1 - h) ** (g - 1) * h), g
-    assert within(histogram[41:].sum(), hits, (1 - h) ** 40)
+    full = make_css(make_classical(BitMatrix.identity(n)), make_classical(BitMatrix.identity(n)))
+    model = ErrorModel(*f)
+    samples = 400_000
+    counts = repeater._mc_breakdown(full, full, model, samples, 20261021, 3).ravel()
+    za, xb = np.divmod(np.arange(counts.size), 1 << n)
+    prob = np.ones(counts.size)
+    for q in range(n):
+        digit = (za >> q & 1) + 2 * (xb >> q & 1)
+        prob *= np.array(model.weights)[digit]
+    assert counts[prob == 0].sum() == 0
+    expected = samples * prob
+    big = expected >= 5  # the rest are pooled into one bin
+    observed = np.append(counts[big], counts[~big].sum())
+    expected = np.append(expected[big], expected[~big].sum())
+    observed, expected = observed[expected > 0], expected[expected > 0]
+    chi2 = ((observed - expected) ** 2 / expected).sum()
+    dof = observed.size - 1
+    # Wilson-Hilferty: the chi-square quantile at 1 - 1e-6 (4.75 normal sigma).
+    limit = dof * (1 - 2 / (9 * dof) + 4.75 * np.sqrt(2 / (9 * dof))) ** 3 if dof else 0.0
+    assert chi2 <= limit, (chi2, dof, limit)
 
 
 @pytest.mark.parametrize("f", [(0.02, 0.005, 0.001), (0.05, 0.0, 0.0), (0.3, 0.3, 0.4)])
