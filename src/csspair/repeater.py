@@ -23,9 +23,11 @@ multinomial per seed stream.  A row with no hit has image 0 at both
 stations: syndrome 0, whose leader is the empty error with class 0, so
 it counts as class (0, 0) without being decoded.  The rows with one hit
 are split over the channel's (species, qubit) cells by one more
-multinomial and read a per-cell class table.  Only the rows with two or
-more hits are drawn hit by hit, one pair of uniforms per hit, and
-decoded, so a stream costs O(n) plus those rows.
+multinomial, and the rows with two hits over the (qubit pair, species
+pair) cells by a third; each reads a class table built once per run.
+Only the rows with three or more hits are drawn hit by hit, one pair of
+uniforms per hit, and decoded, so a stream costs the two tables plus
+those rows.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -63,13 +65,15 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo draws each row's hit count first, and only the rows with two or
-# more hits are drawn hit by hit, MC_CHUNK_ROWS rows at a time.  The chunk is
-# a constant, so the draw does not depend on the worker count.  Each of W
+# Monte Carlo draws each row's hit count first, and only the rows with three
+# or more hits are drawn hit by hit, MC_CHUNK_ROWS rows at a time.  The chunk
+# is a constant, so the draw does not depend on the worker count.  Each of W
 # workers holds one chunk at a time, within MC_BYTES_PER_ROW bytes per row
 # (4 MiB) whatever n, the sample count or the noise: the rows' hit counts,
 # Floyd bitmasks and two images, one step's uniforms and cells, then the
 # decoded classes and their `np.unique`.  Measured peaks reach 114 bytes per row.
+# The class tables add about 24 bytes per cell, 9 C(n, 2) + 3n cells at most
+# (17,205 at n = 62), and a few int64 vectors over those cells while built.
 MC_CHUNK_ROWS = 1 << 15
 MC_BYTES_PER_ROW = 128
 
@@ -401,58 +405,53 @@ def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
     return out
 
 
-def _stream_counts(rng: np.random.Generator, rows: int, model: ErrorModel, cells_a: np.ndarray,
-                   cells_b: np.ndarray, single: np.ndarray, joint):
+def _stream_counts(rng: np.random.Generator, rows: int, order: np.ndarray, pmf: np.ndarray,
+                   tables, model: ErrorModel, cells_a: np.ndarray, cells_b: np.ndarray, joint):
     """Yield (joint classes, counts) of `rows` samples drawn from one seed stream.
 
     The channel hits each of a row's n qubits independently with
-    h = f1 + f2 + f3, so the row's hit count J is Binomial(n, h).  Given
-    J = j, the hits sit on a uniform j-subset of the qubits, and each is Z on
-    A, X on B or both with probability f1 / h, f2 / h, f3 / h: it is one of
-    the cells s * n + q (species s, qubit q), which add `cells_a[s * n + q]`
-    and `cells_b[s * n + q]` to the stations' packed images.  The stream is
-    read in this order:
+    h = f1 + f2 + f3, so the row's hit count J is Binomial(n, h), `pmf`.
+    Given J = j, the hits sit on a uniform j-subset of the qubits, and each
+    is Z on A, X on B or both with probability f1 / h, f2 / h, f3 / h: it is
+    one of the cells s * n + q (species s, qubit q), which add
+    `cells_a[s * n + q]` and `cells_b[s * n + q]` to the stations' packed
+    images.  The stream is read in this order:
 
-    - One multinomial splits the rows over j = 0..n.  numpy gives its last
-      category the remainder, so the categories go in ascending order of
-      probability: one of probability 0 is never drawn, and rounding lands
+    - One multinomial splits the rows over j = 0..n, its categories in
+      `order`, ascending probability: numpy gives the last category the
+      remainder, so one of probability 0 is never drawn, and rounding lands
       on the likeliest.  The J = 0 rows have image 0 at both stations and
       count as class (0, 0).
-    - One multinomial over the cells the channel can hit splits the J = 1
-      rows; `single` holds each cell's joint class, and the cell counts are
-      folded onto distinct classes.
-    - The J >= 2 rows, by descending j, are drawn MC_CHUNK_ROWS rows at a
-      time, so a stream costs O(n) plus its rows with two or more hits.
-      Floyd's algorithm places a row's hits: step i, with t = n - j + i,
-      takes qubit floor(U (t + 1)), or t when that one is taken (a bitmask
-      per row), so the j qubits are a uniform j-subset.  Step i reads one
-      (U, V) pair of uniforms for each of the chunk's rows with more than i
-      hits; V h picks the species, split at f1 and f1 + f2.  The chunk's
-      images go through `joint`, which decodes them to joint classes
-      class_a << kB | class_b.
+    - For j = 1, then j = 2, one multinomial over `tables[j - 1]`'s
+      categories splits the rows with j hits (see _mc_breakdown); each
+      category's count is folded onto its joint class.
+    - The J >= 3 rows, by descending j, are drawn MC_CHUNK_ROWS rows at a
+      time, so a stream costs the two tables plus its rows with three or
+      more hits.  Floyd's algorithm places a row's hits: step i, with
+      t = n - j + i, takes qubit floor(U (t + 1)), or t when that one is
+      taken (a bitmask per row), so the j qubits are a uniform j-subset.
+      Step i reads one (U, V) pair of uniforms for each of the chunk's rows
+      with more than i hits; V h picks the species, split at f1 and
+      f1 + f2.  The chunk's images go through `joint`, which decodes them
+      to joint classes class_a << kB | class_b.
 
     The counts of one yield are over distinct classes.
     """
     n = cells_a.size // 3
-    hit = min(model.hit_rate, 1.0)  # ErrorModel admits sums up to 1 + 1e-12
-    j = np.arange(n + 1)
-    pmf = np.array([math.comb(n, i) for i in j], dtype=float) * hit**j * (1.0 - hit) ** (n - j)
-    order = np.argsort(pmf, kind="stable")
     per_j = np.empty(n + 1, dtype=np.int64)
     per_j[order] = rng.multinomial(rows, pmf[order])
     yield 0, per_j[0]
-    weights = np.repeat([model.f1, model.f2, model.f3], n) / (model.hit_rate * n)
-    live = np.flatnonzero(weights)
-    classes, fold = np.unique(single[live], return_inverse=True)
-    ones = np.zeros(classes.size, dtype=np.int64)
-    np.add.at(ones, fold, rng.multinomial(per_j[1], weights[live]))
-    yield classes, ones
-    edges = np.zeros(n, dtype=np.int64)  # where the runs of rows with n, n - 1, ..., 2 hits start
-    np.cumsum(per_j[:1:-1], out=edges[1:])
+    for count, (p, fold, classes) in zip(per_j[1:3], tables):
+        if count:  # a multinomial over 0 rows would read nothing from the stream
+            hits = np.zeros(classes.size, dtype=np.int64)
+            np.add.at(hits, fold, rng.multinomial(count, p))
+            yield classes, hits
+    edges = np.zeros(n - 1, dtype=np.int64)  # where the runs of rows with n, n - 1, ..., 3 hits start
+    np.cumsum(per_j[:2:-1], out=edges[1:])
     f1, f12 = model.f1, model.f1 + model.f2
-    for lo in range(0, rows - int(per_j[0]) - int(per_j[1]), MC_CHUNK_ROWS):
+    for lo in range(0, rows - int(per_j[:3].sum()), MC_CHUNK_ROWS):
         cut = np.minimum(np.maximum(edges, lo), lo + MC_CHUNK_ROWS)
-        hits = np.repeat(np.arange(n, 1, -1), cut[1:] - cut[:-1])
+        hits = np.repeat(np.arange(n, 2, -1), cut[1:] - cut[:-1])
         first = n - hits  # Floyd's first t
         taken = np.zeros(hits.size, dtype=np.int64)
         img_a = np.zeros(hits.size, dtype=np.int64)
@@ -491,25 +490,33 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     does not grow with the stream count.
 
     Each stream draws its rows' hit counts first (see _stream_counts):
-    rows with no hit or one hit cost O(n) per stream, and only the rows
-    with two or more hits are drawn hit by hit and decoded, one (U, V)
-    pair of uniforms per hit.  h = f1 + f2 + f3 = 0 draws nothing.  Each
-    cell (species, qubit) of the channel is one entry of `cells_a`,
-    `cells_b` and the one-hit class table, which `residual` builds once
-    per run.
+    rows with no hit, one hit or two hits cost only the run's class tables,
+    and only the rows with three or more hits are drawn hit by hit and
+    decoded, one (U, V) pair of uniforms per hit.  h = f1 + f2 + f3 = 0
+    draws nothing.  The pmf and both tables are built once per run, each
+    through `residual`: one-hit cells s * n + q (species s, qubit q) with
+    probability f_s / (h n), and two-hit cells (q1 < q2, s1, s2), qubit
+    pairs in lexicographic order, with (f_s1 / h)(f_s2 / h) / C(n, 2) and
+    the XOR of both cells' images: given two hits, they sit on a uniform
+    2-subset with iid species.  A table keeps only cells of nonzero
+    probability (a product of two small rates can underflow), so numpy's
+    multinomial never hands such a cell its remainder.
 
-    The streams are drawn in parallel by W = min(streams, usable cores)
-    worker threads: worker t draws streams t, t + W, ..., one chunk of
-    at most MC_CHUNK_ROWS rows at a time, and adds each yield's class
-    counts into the run's one int64 count array under a lock.  Integer
-    sums do not depend on order, and a stream's draw does not depend on
-    W, so neither do the counts.  Workers call only private functions
-    and methods, so a tracer that wraps the public functions keeps one
-    span stack, and the numpy loops they run release the interpreter
-    lock.  The count array, the report's float64 copy and its nonzero
-    mask, 17 bytes per class pair, must fit MAX_EXACT_BYTES before the
-    array is allocated: like exact mode's check, this depends on the
-    codes only.
+    The streams are drawn by W = min(streams, usable cores, R // MC_CHUNK_ROWS)
+    threads, at least one, where R = samples * P(J >= 3) is the run's
+    expected hit-by-hit rows: with less than a chunk each, threads spend
+    more handing the interpreter lock back and forth than they overlap.
+    With W = 1 the calling thread draws every stream and no pool starts.
+    Otherwise worker t draws streams t, t + W, ..., one chunk of at most
+    MC_CHUNK_ROWS rows at a time, and adds each yield's class counts into
+    the run's one int64 count array under a lock.  Integer sums do not
+    depend on order, and a stream's draw does not depend on W, so neither
+    do the counts.  Workers call only private functions and methods, so a
+    tracer that wraps the public functions keeps one span stack, and the
+    numpy loops they run release the interpreter lock.  The count array,
+    the report's float64 copy and its nonzero mask, 17 bytes per class
+    pair, must fit MAX_EXACT_BYTES before the array is allocated: like
+    exact mode's check, this depends on the codes only.
     """
     m = qa.k + qb.k
     need = 17 << m
@@ -523,30 +530,51 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     if not model.hit_rate:  # no entry is hit: nothing to draw
         counts[0, 0] = samples
         return counts
+    n = qa.n
+    hit = min(model.hit_rate, 1.0)  # ErrorModel admits sums up to 1 + 1e-12
+    j = np.arange(n + 1)
+    pmf = np.array([math.comb(n, i) for i in j], dtype=float) * hit**j * (1.0 - hit) ** (n - j)
+    order = np.argsort(pmf, kind="stable")
     # Cell s * n + q is species s (0: Z on A, 1: X on B, 2: both) on qubit q.
-    zero = np.zeros(qa.n, dtype=np.int64)
+    zero = np.zeros(n, dtype=np.int64)
     cells_a = np.concatenate([dec_a.columns, zero, dec_a.columns])
     cells_b = np.concatenate([zero, dec_b.columns, dec_b.columns])
 
     def joint(img_a: np.ndarray, img_b: np.ndarray) -> np.ndarray:
         return dec_a.residual(img_a)[1] << dec_b.k | dec_b.residual(img_b)[1]
 
-    single = joint(cells_a, cells_b)
+    def table(p: np.ndarray, img_a: np.ndarray, img_b: np.ndarray):
+        keep = p > 0  # numpy would give the last category the remainder, whatever its p
+        classes, fold = np.unique(joint(img_a[keep], img_b[keep]), return_inverse=True)
+        return p[keep], fold, classes
+
+    rate = np.array([model.f1, model.f2, model.f3]) / model.hit_rate
+    s1, s2 = np.meshgrid(*2 * [np.flatnonzero(rate)], indexing="ij")
+    q1, q2 = np.triu_indices(n, 1)
+    c1 = (s1 * n + q1[:, None, None]).ravel()
+    c2 = (s2 * n + q2[:, None, None]).ravel()
+    pair_p = np.broadcast_to(rate[s1] * rate[s2], (q1.size,) + s1.shape) / math.comb(n, 2)
+    tables = [table(np.repeat(rate, n) / n, cells_a, cells_b),
+              table(pair_p.ravel(), cells_a[c1] ^ cells_a[c2], cells_b[c1] ^ cells_b[c2])]
     streams = min(jobs, samples)
     base, extra = divmod(samples, streams)
-    workers = min(streams, _usable_cores())
+    heavy = int(samples * pmf[3:].sum())  # rows expected to be drawn hit by hit
+    workers = min(streams, _usable_cores(), max(1, heavy // MC_CHUNK_ROWS))
     cells, lock = counts.ravel(), threading.Lock()
 
     def draw(t: int) -> None:
         for w in range(t, streams, workers):
             rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-            for classes, hits in _stream_counts(rng, base + (1 if w < extra else 0), model,
-                                                cells_a, cells_b, single, joint):
+            for classes, hits in _stream_counts(rng, base + (1 if w < extra else 0), order, pmf,
+                                                tables, model, cells_a, cells_b, joint):
                 with lock:
                     cells[classes] += hits
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        list(pool.map(draw, range(workers)))  # re-raises a worker's exception
+    if workers == 1:
+        draw(0)
+    else:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            list(pool.map(draw, range(workers)))  # re-raises a worker's exception
     return counts
 
 

@@ -2,6 +2,7 @@
 
 import sys
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
@@ -514,27 +515,47 @@ def test_montecarlo_report_within_class_byte_estimate():
     assert peak <= 17 << 24
 
 
+def split_by_hits(rng, n, model, rows):
+    """A stream's first draw: its rows' hit counts j = 0..n, one multinomial in ascending order
+    of probability."""
+    hit = min(model.hit_rate, 1.0)
+    pmf = np.array([comb(n, j) * hit**j * (1 - hit) ** (n - j) for j in range(n + 1)])
+    order = np.argsort(pmf, kind="stable")
+    per_j = np.zeros(n + 1, dtype=np.int64)
+    per_j[order] = rng.multinomial(rows, pmf[order])
+    assert per_j.sum() == rows and not per_j[pmf == 0].any()
+    return per_j
+
+
 def stream_reference_counts(qa, qb, model, samples, seed, jobs):
     """Class counts of each stream's rows, drawn as `_stream_counts` reads the stream, via tables().
 
     Stream w splits its rows by hit count j = 0..n with one multinomial whose
-    categories go in ascending order of probability, and the one-hit rows
-    over the (species, qubit) cells of nonzero rate with another.  The rows
-    with j >= 2 go by descending j, MC_CHUNK_ROWS rows at a time, and Floyd's
-    algorithm places their hits: step i reads the U of every row with more
-    than i hits, then their V; the hit lands on qubit floor(U (t + 1)) with
-    t = n - j + i, or on t when that qubit is already hit, and V h picks Z on
-    A below f1, X on B from f1 to f1 + f2, and both above.  Every row is then
-    an (e_z, e_x) pair of error ints decoded whole through the 2^n tables.
+    categories go in ascending order of probability, then the one-hit rows
+    over the (species, qubit) cells of nonzero rate with another, then the
+    two-hit rows over the (q1 < q2, s1, s2) cells of nonzero probability,
+    qubit pairs in lexicographic order and live species s1, s2 in ascending
+    order, with a third.  The rows with j >= 3 go by descending j,
+    MC_CHUNK_ROWS rows at a time, and Floyd's algorithm places their hits:
+    step i reads the U of every row with more than i hits, then their V; the
+    hit lands on qubit floor(U (t + 1)) with t = n - j + i, or on t when that
+    qubit is already hit, and V h picks Z on A below f1, X on B from f1 to
+    f1 + f2, and both above.  Every row is then an (e_z, e_x) pair of error
+    ints decoded whole through the 2^n tables.
     """
     n = qa.n
     _, class_a = repeater._station_decoder(qa, "z").tables()
     _, class_b = repeater._station_decoder(qb, "x").tables()
     f1, f2, h = model.f1, model.f2, model.hit_rate
-    hit = min(h, 1.0)
-    pmf = np.array([comb(n, j) * hit**j * (1 - hit) ** (n - j) for j in range(n + 1)])
-    order = np.argsort(pmf, kind="stable")
     bit = 1 << np.arange(n - 1, -1, -1)  # qubit q's bit in an error int
+    on_a, on_b = np.array([1, 0, 1]), np.array([0, 1, 1])  # species Z on A, X on B, both
+    rate = np.array([model.f1, model.f2, model.f3]) / (h or 1.0)
+    pairs = [(q1, q2, s1, s2) for q1 in range(n) for q2 in range(q1 + 1, n)
+             for s1 in range(3) for s2 in range(3) if rate[s1] and rate[s2]]
+    q1, q2, s1, s2 = np.array(pairs, dtype=np.int64).reshape(-1, 4).T
+    pair_p = rate[s1] * rate[s2] / comb(n, 2)
+    pair_z = on_a[s1] * bit[q1] | on_a[s2] * bit[q2]
+    pair_x = on_b[s1] * bit[q1] | on_b[s2] * bit[q2]
     streams = min(jobs, samples)
     expected = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
     for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
@@ -543,17 +564,19 @@ def stream_reference_counts(qa, qb, model, samples, seed, jobs):
             expected[0, 0] += rows
             continue
         rng = np.random.default_rng(child)
-        per_j = np.zeros(n + 1, dtype=np.int64)
-        per_j[order] = rng.multinomial(rows, pmf[order])
-        assert per_j.sum() == rows and not per_j[pmf == 0].any()
+        per_j = split_by_hits(rng, n, model, rows)
         expected[0, 0] += per_j[0]
-        cell_p = np.repeat([model.f1, model.f2, model.f3], n) / (h * n)
+        cell_p = np.repeat(rate, n) / n
         species, qubit = np.divmod(np.flatnonzero(cell_p), n)
         one_z = np.where(species != 1, bit[qubit], 0)  # Z on A, or both
         one_x = np.where(species != 0, bit[qubit], 0)  # X on B, or both
         np.add.at(expected, (class_a[one_z], class_b[one_x]),
                   rng.multinomial(per_j[1], cell_p[cell_p > 0]))
-        every = np.repeat(np.arange(n, 1, -1), per_j[:1:-1])
+        if n > 1 and per_j[2]:
+            drawn = pair_p > 0
+            np.add.at(expected, (class_a[pair_z[drawn]], class_b[pair_x[drawn]]),
+                      rng.multinomial(per_j[2], pair_p[drawn]))
+        every = np.repeat(np.arange(n, 2, -1), per_j[:2:-1])
         for lo in range(0, every.size, repeater.MC_CHUNK_ROWS):
             hits = every[lo:lo + repeater.MC_CHUNK_ROWS]
             row = np.arange(hits.size)
@@ -653,8 +676,22 @@ def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
     assert peak <= chunk_estimate(1)
 
 
+@pytest.fixture
+def pools(monkeypatch):
+    """The max_workers of each thread pool Monte Carlo starts, in order."""
+    started = []
+
+    class SpyExecutor(ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            started.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(repeater, "ThreadPoolExecutor", SpyExecutor)
+    return started
+
+
 @pytest.mark.parametrize("cores", [1, 2, 3])
-def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pair7_a, pair7_b):
+def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pools, pair7_a, pair7_b):
     # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
     # At high noise the [[14,7]] self-pair spreads each chunk over most of its 2^14 class
     # cells, so concurrent chunks add into the same cells and a lost update would show.
@@ -671,37 +708,66 @@ def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pai
             sys.setswitchinterval(interval)
         assert counts.dtype == np.int64
         assert np.array_equal(counts, stream_reference_counts(qa, qb, model, samples, seed, jobs))
+    # The pair7 draw expects about 6,300 rows with three or more hits, under one chunk, so it
+    # runs on the calling thread; nearly all of the wide draw's rows have that many, ten chunks.
+    assert pools == ([cores] if cores >= 2 else [])
 
 
-def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pair7_a, pair7_b):
-    seen = []
+def test_montecarlo_starts_threads_only_for_whole_chunks_of_many_hit_rows(monkeypatch, pools,
+                                                                           pair7_a, pair7_b):
+    monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
+    # A simulate-sized draw: 10^6 samples on n = 15 hold about 4,000 rows with three or more hits.
+    qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
+    counts = repeater._mc_breakdown(qa, qb, ErrorModel(0.01, 0.01, 0.002), 10**6, 1, 2)
+    assert counts.sum() == 10**6
+    assert pools == []
+    # f0 = 0: every row is drawn hit by hit, four chunks over three streams.
+    model = ErrorModel(0.3, 0.3, 0.4)
+    samples = 4 * repeater.MC_CHUNK_ROWS
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, 8, 3)
+    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, 8, 3))
+    assert pools == [2]
 
-    class SerialExecutor:
-        def __init__(self, max_workers):
-            seen.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, items):
-            return map(fn, items)
-
-    monkeypatch.setattr(repeater, "ThreadPoolExecutor", SerialExecutor)
-    model = ErrorModel(0.1, 0.1, 0.05)
+def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pools, pair7_a, pair7_b):
+    # One-row chunks: each of the 20 rows with hits is a chunk of its own.
+    monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", 1)
+    model = ErrorModel(0.3, 0.3, 0.4)
     reference = stream_reference_counts(pair7_a, pair7_b, model, 20, 77, 20)
     cores = repeater._usable_cores()
     assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
-    assert seen == [min(20, cores)]
+    assert pools == ([min(20, cores)] if cores >= 2 else [])
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 64)
     assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
-    assert seen[-1] == 20
+    assert pools[-1] == 20
+
+
+def test_montecarlo_decodes_only_the_tables_and_rows_with_three_or_more_hits(monkeypatch):
+    """A simulate-sized draw passes through each decoder's `residual` its rows with three or
+    more hits, the one-hit and two-hit class tables and the image-0 check, and no other row."""
+    qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
+    model, samples, seed, jobs = ErrorModel(0.01, 0.01, 0.002), 10**6, 1, 2
+    decoded = {}
+    residual = repeater._SyndromeDecoder.residual
+
+    def counting(self, images):
+        decoded[id(self)] = decoded.get(id(self), 0) + np.size(images)
+        return residual(self, images)
+
+    monkeypatch.setattr(repeater._SyndromeDecoder, "residual", counting)
+    assert repeater._mc_breakdown(qa, qb, model, samples, seed, jobs).sum() == samples
+    many = 0
+    for w in range(jobs):
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
+        many += int(split_by_hits(rng, qa.n, model, samples // jobs)[3:].sum())
+    tables = 3 * qa.n + 9 * comb(qa.n, 2)
+    assert len(decoded) == 2
+    assert all(rows <= many + tables + 1 for rows in decoded.values()), (decoded, many, tables)
 
 
 def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch):
-    # Two workers, each holding one full chunk of rows with n = 15 hits.
+    # Rows with n = 15 hits: 2^15 of them fill one chunk, drawn on the calling thread, and
+    # 2^17 start two workers, each holding one full chunk.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
@@ -717,10 +783,10 @@ def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch
         assert peak <= chunk_estimate(2), samples
 
 
-def rows_past_one_hit(model, samples, streams):
-    """The expected rows with two or more hits in each of `streams` streams on n = 7."""
+def rows_past_two_hits(model, samples, streams):
+    """The expected rows with three or more hits in each of `streams` streams on n = 7."""
     h = model.hit_rate
-    return samples // streams * (1 - (1 - h) ** 7 - 7 * h * (1 - h) ** 6)
+    return samples // streams * (1 - sum(comb(7, j) * h**j * (1 - h) ** (7 - j) for j in range(3)))
 
 
 @pytest.mark.parametrize("cores", [1, 2])
@@ -731,7 +797,7 @@ def test_montecarlo_chunk_boundaries_match_reference(cores, monkeypatch, pair7_a
     samples, seed, jobs = 3000, 11, 2
     for chunk in (1, 7):  # the reference reads MC_CHUNK_ROWS too
         monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", chunk)
-        assert rows_past_one_hit(model, samples, jobs) > chunk
+        assert rows_past_two_hits(model, samples, jobs) > chunk
         counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
         reference = stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs)
         assert np.array_equal(counts, reference), chunk
@@ -739,9 +805,9 @@ def test_montecarlo_chunk_boundaries_match_reference(cores, monkeypatch, pair7_a
 
 def test_montecarlo_default_chunks_match_reference(pair7_a, pair7_b):
     """At the default chunk size each of the two streams spans two chunks."""
-    model = ErrorModel(0.2, 0.1, 0.05)
+    model = ErrorModel(0.25, 0.15, 0.05)
     samples, seed, jobs = 2 * (1 << 16) + 7, 11, 2
-    assert rows_past_one_hit(model, samples, jobs) > repeater.MC_CHUNK_ROWS
+    assert rows_past_two_hits(model, samples, jobs) > repeater.MC_CHUNK_ROWS
     counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
     assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
 
@@ -765,7 +831,8 @@ def within(count, trials, p, sigmas=5.0):
 
 
 @pytest.mark.parametrize("n, f", [(4, (0.2, 0.15, 0.1)), (5, (0.3, 0.0, 0.25)),
-                                  (5, (0.04, 0.03, 0.02)), (3, (0.0, 0.0, 1.0))])
+                                  (5, (0.04, 0.03, 0.02)), (3, (0.0, 0.0, 1.0)),
+                                  (6, (0.05, 0.04, 0.03)), (4, (0.3, 0.3, 1e-200))])
 def test_montecarlo_rows_follow_the_channel_law(n, f):
     """Sampled row patterns against the exact product law: a chi-square test at a fixed seed.
 
@@ -774,7 +841,10 @@ def test_montecarlo_rows_follow_the_channel_law(n, f):
     the counts are the sampler's pattern counts with no decoding between,
     against P(pattern) = prod over qubits of (f0, f1, f2, f3)[digit].  An
     off-by-one position, a biased subset draw or swapped species thresholds,
-    which the stream reference would copy, fail here.
+    which the stream reference would copy, fail here.  At n = 6 with all
+    three species live, two-hit rows outnumber the rows with three or more
+    hits; at f3 = 1e-200 a two-hit cell with both hits correlated has
+    probability 0 (it underflows), so it must never be drawn.
     """
     full = make_css(make_classical(BitMatrix.identity(n)), make_classical(BitMatrix.identity(n)))
     model = ErrorModel(*f)
@@ -796,6 +866,32 @@ def test_montecarlo_rows_follow_the_channel_law(n, f):
     # Wilson-Hilferty: the chi-square quantile at 1 - 1e-6 (4.75 normal sigma).
     limit = dof * (1 - 2 / (9 * dof) + 4.75 * np.sqrt(2 / (9 * dof))) ** 3 if dof else 0.0
     assert chi2 <= limit, (chi2, dof, limit)
+
+
+@pytest.mark.parametrize("f", [(0.3, 0.3, 1e-200), (0.0, 0.0, 1.0), (0.05, 0.0, 0.01)])
+def test_montecarlo_multinomial_remainders_go_to_possible_categories(f, monkeypatch):
+    """numpy's multinomial hands its last category whatever rows the others leave, so in
+    every multinomial the sampler draws that category must have nonzero probability.  The
+    chi-square test above cannot see a slip: rounding leaves such a remainder about once
+    in 10^16 rows."""
+    last = []
+    make = np.random.default_rng
+
+    class Recording:
+        def __init__(self, seed):
+            self.rng = make(seed)
+
+        def multinomial(self, n, pvals):
+            last.append(pvals[-1])
+            return self.rng.multinomial(n, pvals)
+
+        def random(self, size):
+            return self.rng.random(size)
+
+    monkeypatch.setattr(np.random, "default_rng", Recording)
+    full = make_css(make_classical(BitMatrix.identity(4)), make_classical(BitMatrix.identity(4)))
+    assert repeater._mc_breakdown(full, full, ErrorModel(*f), 10_000, 5, 2).sum() == 10_000
+    assert last and min(last) > 0
 
 
 @pytest.mark.parametrize("f", [(0.02, 0.005, 0.001), (0.05, 0.0, 0.0), (0.3, 0.3, 0.4)])
