@@ -16,18 +16,14 @@ class off that map's packed image through the decoder's `residual`.
 Exact mode never lists the 4^n error patterns: it propagates the joint
 distribution of both stations' images, 2^m values with m <= n + k for
 CNOT-transversal pairs, one qubit at a time, then folds each station's
-images onto its residual classes.  Monte Carlo mode samples
-patterns and maps them through the same packed columns.  It draws each
-row's hit count first, Binomial(n, h) with h = f1 + f2 + f3, as one
-multinomial per seed stream.  A row with no hit has image 0 at both
-stations: syndrome 0, whose leader is the empty error with class 0, so
-it counts as class (0, 0) without being decoded.  The rows with one hit
-are split over the channel's (species, qubit) cells by one more
-multinomial, and the rows with two hits over the (qubit pair, species
-pair) cells by a third; each reads a class table built once per run.
-Only the rows with three or more hits are drawn hit by hit, one pair of
-uniforms per hit, and decoded, so a stream costs the two tables plus
-those rows.
+images onto its residual classes.  Monte Carlo mode stratifies by a
+row's hit count J, Binomial(n, h) with h = f1 + f2 + f3.  The rows with
+J <= 2 are not sampled: the empty pattern, the 3n one-hit cells and the
+9 C(n, 2) two-hit cells are each decoded once through the same packed
+columns and added with their exact probabilities.  Only the stratum
+J >= 3 is sampled, in proportion to its probability: its rows are drawn
+hit by hit, one pair of uniforms per hit, and decoded, in fixed blocks
+whose seeds do not depend on the thread count.
 
 The reported logical fidelity is the probability that the residual
 error after both stations decode acts trivially on every logical Bell
@@ -65,15 +61,15 @@ DECODER_BYTES_PER_SYNDROME = 16
 DECODER_BYTES_PER_STEP = 48
 # Exact mode holds three float64 vectors over the 2^m decoder images.
 EXACT_BYTES_PER_IMAGE = 24
-# Monte Carlo draws each row's hit count first, and only the rows with three
-# or more hits are drawn hit by hit, MC_CHUNK_ROWS rows at a time.  The chunk
-# is a constant, so the draw does not depend on the worker count.  Each of W
-# workers holds one chunk at a time, within MC_BYTES_PER_ROW bytes per row
-# (4 MiB) whatever n, the sample count or the noise: the rows' hit counts,
-# Floyd bitmasks and two images, one step's uniforms and cells, then the
-# decoded classes and their `np.unique`.  Measured peaks reach 114 bytes per row.
-# The class tables add about 24 bytes per cell, 9 C(n, 2) + 3n cells at most
-# (17,205 at n = 62), and a few int64 vectors over those cells while built.
+# Monte Carlo samples only the rows with three or more hits, in blocks of
+# MC_CHUNK_ROWS rows, each seeded by its index, so the draw does not depend on
+# the thread count.  Each of W threads holds one block at a time, within
+# MC_BYTES_PER_ROW bytes per row (4 MiB) whatever n, the sample count or the
+# noise: the rows' hit counts, Floyd bitmasks and two images, one step's
+# uniforms and cells, then the decoded classes and their `np.unique`.  Measured
+# peaks reach 114 bytes per row.  The patterns with at most two hits add a few
+# int64 and float64 vectors over their 1 + 3n + 9 C(n, 2) entries (17,206 at
+# n = 62) while they are decoded, and two (classes, probabilities) after.
 MC_CHUNK_ROWS = 1 << 15
 MC_BYTES_PER_ROW = 128
 
@@ -405,53 +401,34 @@ def _marginals(breakdown: np.ndarray, k: int) -> list[float]:
     return out
 
 
-def _stream_counts(rng: np.random.Generator, rows: int, order: np.ndarray, pmf: np.ndarray,
-                   tables, model: ErrorModel, cells_a: np.ndarray, cells_b: np.ndarray, joint):
-    """Yield (joint classes, counts) of `rows` samples drawn from one seed stream.
+def _block_counts(seed: int, blocks: range, edges: np.ndarray, model: ErrorModel,
+                  cells_a: np.ndarray, cells_b: np.ndarray, joint):
+    """Yield (joint classes, counts) of each block in `blocks`, MC_CHUNK_ROWS rows each.
 
-    The channel hits each of a row's n qubits independently with
-    h = f1 + f2 + f3, so the row's hit count J is Binomial(n, h), `pmf`.
-    Given J = j, the hits sit on a uniform j-subset of the qubits, and each
-    is Z on A, X on B or both with probability f1 / h, f2 / h, f3 / h: it is
-    one of the cells s * n + q (species s, qubit q), which add
-    `cells_a[s * n + q]` and `cells_b[s * n + q]` to the stations' packed
-    images.  The stream is read in this order:
+    The sampled rows, by descending hit count, hold n hits from edges[0],
+    n - 1 from edges[1], ..., 3 from edges[n - 3] to edges[n - 2]; block b
+    is rows b * MC_CHUNK_ROWS on, drawn from SeedSequence(seed,
+    spawn_key=(b,)).  Given J = j, a row's hits sit on a uniform j-subset
+    of the qubits, and Floyd's algorithm places them: step i, with
+    t = n - j + i, takes qubit floor(U (t + 1)), or t when that one is
+    taken (a bitmask per row).  Step i reads one (U, V) pair of uniforms
+    for each row with more than i hits; V h picks the species, Z on A,
+    X on B or both, split at f1 and f1 + f2.  The hit is then cell
+    s * n + q (species s, qubit q), which adds `cells_a[s * n + q]` and
+    `cells_b[s * n + q]` to the stations' packed images.  The images go
+    through `joint`, which decodes them to joint classes
+    class_a << kB | class_b; the counts are over distinct classes.
 
-    - One multinomial splits the rows over j = 0..n, its categories in
-      `order`, ascending probability: numpy gives the last category the
-      remainder, so one of probability 0 is never drawn, and rounding lands
-      on the likeliest.  The J = 0 rows have image 0 at both stations and
-      count as class (0, 0).
-    - For j = 1, then j = 2, one multinomial over `tables[j - 1]`'s
-      categories splits the rows with j hits (see _mc_breakdown); each
-      category's count is folded onto its joint class.
-    - The J >= 3 rows, by descending j, are drawn MC_CHUNK_ROWS rows at a
-      time, so a stream costs the two tables plus its rows with three or
-      more hits.  Floyd's algorithm places a row's hits: step i, with
-      t = n - j + i, takes qubit floor(U (t + 1)), or t when that one is
-      taken (a bitmask per row), so the j qubits are a uniform j-subset.
-      Step i reads one (U, V) pair of uniforms for each of the chunk's rows
-      with more than i hits; V h picks the species, split at f1 and
-      f1 + f2.  The chunk's images go through `joint`, which decodes them
-      to joint classes class_a << kB | class_b.
-
-    The counts of one yield are over distinct classes.
+    A generator, so the next block's arrays replace this one's instead of
+    all being freed between blocks: freed blocks went back to the system and
+    were faulted in again, which made a one-thread draw 1.3x slower.
     """
-    n = cells_a.size // 3
-    per_j = np.empty(n + 1, dtype=np.int64)
-    per_j[order] = rng.multinomial(rows, pmf[order])
-    yield 0, per_j[0]
-    for count, (p, fold, classes) in zip(per_j[1:3], tables):
-        if count:  # a multinomial over 0 rows would read nothing from the stream
-            hits = np.zeros(classes.size, dtype=np.int64)
-            np.add.at(hits, fold, rng.multinomial(count, p))
-            yield classes, hits
-    edges = np.zeros(n - 1, dtype=np.int64)  # where the runs of rows with n, n - 1, ..., 3 hits start
-    np.cumsum(per_j[:2:-1], out=edges[1:])
+    n = edges.size + 1
     f1, f12 = model.f1, model.f1 + model.f2
-    for lo in range(0, rows - int(per_j[:3].sum()), MC_CHUNK_ROWS):
-        cut = np.minimum(np.maximum(edges, lo), lo + MC_CHUNK_ROWS)
-        hits = np.repeat(np.arange(n, 2, -1), cut[1:] - cut[:-1])
+    for b in blocks:
+        cut = np.clip(edges, b * MC_CHUNK_ROWS, (b + 1) * MC_CHUNK_ROWS)
+        hits = np.repeat(np.arange(n, 2, -1), np.diff(cut))
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(b,)))
         first = n - hits  # Floyd's first t
         taken = np.zeros(hits.size, dtype=np.int64)
         img_a = np.zeros(hits.size, dtype=np.int64)
@@ -477,46 +454,42 @@ def _usable_cores() -> int:
 
 
 def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
-                  seed: int, jobs: int) -> np.ndarray:
-    """Joint class counts from Monte Carlo sampling.
+                  seed: int, jobs: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+    """Monte Carlo's joint class masses, stratified by the rows' hit count.
 
-    The samples are split over `jobs` seed streams, child streams of
-    the seed.  The stream count is part of what fixes the sample:
-    results are reproducible for a fixed (seed, samples, jobs) triple.
-    Streams past the `samples`-th would draw no rows, so they are never
-    made.  Stream w is seeded where it is drawn, as
-    SeedSequence(seed, spawn_key=(w,)), which is the w-th child of
-    SeedSequence(seed).spawn; no list of children is held, so memory
-    does not grow with the stream count.
+    The channel hits each of a row's n qubits independently with
+    h = f1 + f2 + f3, so its hit count J is Binomial(n, h).  Returns
+    (classes, p, counts, tail):
 
-    Each stream draws its rows' hit counts first (see _stream_counts):
-    rows with no hit, one hit or two hits cost only the run's class tables,
-    and only the rows with three or more hits are drawn hit by hit and
-    decoded, one (U, V) pair of uniforms per hit.  h = f1 + f2 + f3 = 0
-    draws nothing.  The pmf and both tables are built once per run, each
-    through `residual`: one-hit cells s * n + q (species s, qubit q) with
-    probability f_s / (h n), and two-hit cells (q1 < q2, s1, s2), qubit
-    pairs in lexicographic order, with (f_s1 / h)(f_s2 / h) / C(n, 2) and
-    the XOR of both cells' images: given two hits, they sit on a uniform
-    2-subset with iid species.  A table keeps only cells of nonzero
-    probability (a product of two small rates can underflow), so numpy's
-    multinomial never hands such a cell its remainder.
+    - The rows with J <= 2 are not sampled.  Each pattern of weight at most
+      two, the empty one, the 3n (species, qubit) cells and the (q1 < q2,
+      s1, s2) pairs of cells of live species, is decoded once: `classes`
+      holds their flat joint classes za << kB | xb, and `p` their
+      product-law probabilities f0^(n - j) f_s1 ... f_sj.  So rows with
+      J <= 2 cost 1 + 3n + 9 C(n, 2) decodes at most, whatever `samples`.
+    - tail = P(J >= 3), and R = min(samples, ceil(samples * tail)) rows are
+      drawn from that stratum (proportional allocation): `counts`, the int64
+      class counts of those rows over (2^kA, 2^kB) class pairs.  Class c then
+      has mass tail * counts[c] / R plus the p of its patterns.
 
-    The streams are drawn by W = min(streams, usable cores, R // MC_CHUNK_ROWS)
-    threads, at least one, where R = samples * P(J >= 3) is the run's
-    expected hit-by-hit rows: with less than a chunk each, threads spend
-    more handing the interpreter lock back and forth than they overlap.
-    With W = 1 the calling thread draws every stream and no pool starts.
-    Otherwise worker t draws streams t, t + W, ..., one chunk of at most
-    MC_CHUNK_ROWS rows at a time, and adds each yield's class counts into
-    the run's one int64 count array under a lock.  Integer sums do not
-    depend on order, and a stream's draw does not depend on W, so neither
-    do the counts.  Workers call only private functions and methods, so a
-    tracer that wraps the public functions keeps one span stack, and the
-    numpy loops they run release the interpreter lock.  The count array,
-    the report's float64 copy and its nonzero mask, 17 bytes per class
-    pair, must fit MAX_EXACT_BYTES before the array is allocated: like
-    exact mode's check, this depends on the codes only.
+    One multinomial from SeedSequence(seed) splits the R rows over
+    j = 3..n by the pmf given J >= 3.  The rows then go by descending j in
+    blocks of MC_CHUNK_ROWS rows (the last one shorter); block b is seeded
+    where it is drawn, as SeedSequence(seed, spawn_key=(b,)), the b-th
+    child of SeedSequence(seed).spawn, so no list of children is held (see
+    _block_counts).  The result depends only on (seed, samples, codes,
+    noise).  `jobs` caps the threads: W = min(jobs, usable cores, blocks),
+    so a thread starts only for a whole block, and with W = 1 the calling
+    thread draws every block and no pool starts.  Otherwise thread t draws
+    blocks t, t + W, ... and adds each block's class counts into the one
+    count array under a lock.  Integer sums do
+    not depend on order, so neither do the counts.  Threads call only
+    private functions and methods, so a tracer that wraps the public
+    functions keeps one span stack, and the numpy loops they run release
+    the interpreter lock.  The count array, the report's float64 copy and
+    its nonzero mask, 17 bytes per class pair, must fit MAX_EXACT_BYTES
+    before the array is allocated: like exact mode's check, this depends on
+    the codes only.
     """
     m = qa.k + qb.k
     need = 17 << m
@@ -525,16 +498,11 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
                             f"the limit is {MAX_EXACT_BYTES}")
     dec_a = _station_decoder(qa, "z")
     dec_b = _station_decoder(qb, "x")
-    assert dec_a.residual(0)[1] == dec_b.residual(0)[1] == 0, "image 0 must decode to class 0"
-    counts = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
-    if not model.hit_rate:  # no entry is hit: nothing to draw
-        counts[0, 0] = samples
-        return counts
     n = qa.n
     hit = min(model.hit_rate, 1.0)  # ErrorModel admits sums up to 1 + 1e-12
     j = np.arange(n + 1)
     pmf = np.array([math.comb(n, i) for i in j], dtype=float) * hit**j * (1.0 - hit) ** (n - j)
-    order = np.argsort(pmf, kind="stable")
+    tail = float(pmf[3:].sum())
     # Cell s * n + q is species s (0: Z on A, 1: X on B, 2: both) on qubit q.
     zero = np.zeros(n, dtype=np.int64)
     cells_a = np.concatenate([dec_a.columns, zero, dec_a.columns])
@@ -543,39 +511,42 @@ def _mc_breakdown(qa: CssCode, qb: CssCode, model: ErrorModel, samples: int,
     def joint(img_a: np.ndarray, img_b: np.ndarray) -> np.ndarray:
         return dec_a.residual(img_a)[1] << dec_b.k | dec_b.residual(img_b)[1]
 
-    def table(p: np.ndarray, img_a: np.ndarray, img_b: np.ndarray):
-        keep = p > 0  # numpy would give the last category the remainder, whatever its p
-        classes, fold = np.unique(joint(img_a[keep], img_b[keep]), return_inverse=True)
-        return p[keep], fold, classes
-
-    rate = np.array([model.f1, model.f2, model.f3]) / model.hit_rate
-    s1, s2 = np.meshgrid(*2 * [np.flatnonzero(rate)], indexing="ij")
-    q1, q2 = np.triu_indices(n, 1)
-    c1 = (s1 * n + q1[:, None, None]).ravel()
-    c2 = (s2 * n + q2[:, None, None]).ravel()
-    pair_p = np.broadcast_to(rate[s1] * rate[s2], (q1.size,) + s1.shape) / math.comb(n, 2)
-    tables = [table(np.repeat(rate, n) / n, cells_a, cells_b),
-              table(pair_p.ravel(), cells_a[c1] ^ cells_a[c2], cells_b[c1] ^ cells_b[c2])]
-    streams = min(jobs, samples)
-    base, extra = divmod(samples, streams)
-    heavy = int(samples * pmf[3:].sum())  # rows expected to be drawn hit by hit
-    workers = min(streams, _usable_cores(), max(1, heavy // MC_CHUNK_ROWS))
-    cells, lock = counts.ravel(), threading.Lock()
+    f = np.array([model.f1, model.f2, model.f3])
+    one = (np.flatnonzero(f)[:, None] * n + np.arange(n)).ravel()  # the cells of live species
+    x, y = np.nonzero(one[:, None] % n < one % n)  # two cells on distinct qubits, each pair once
+    rate = f[one // n]
+    img_a, img_b = (np.concatenate([[0], c[one], c[one[x]] ^ c[one[y]]]) for c in (cells_a, cells_b))
+    lead = (1.0 - hit) ** np.maximum(n - np.arange(3), 0)  # f0^(n - j) for j = 0, 1, 2 hits
+    p = np.concatenate([[1.0], rate, rate[x] * rate[y]]) * np.repeat(lead, [1, one.size, x.size])
+    classes = joint(img_a, img_b)
+    counts = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
+    rows = min(samples, math.ceil(samples * tail))
+    blocks = -(-rows // MC_CHUNK_ROWS)
+    workers = min(jobs, _usable_cores(), blocks)
+    if not workers:
+        return classes, p, counts, tail
+    # The rows' hit counts, j = 3..n: numpy gives the last category the remainder, so in
+    # ascending order of probability one of probability 0 is never drawn.
+    cond = pmf[3:] / tail
+    order = np.argsort(cond, kind="stable")
+    per_j = np.empty(n - 2, dtype=np.int64)
+    per_j[order] = np.random.default_rng(seed).multinomial(rows, cond[order])
+    edges = np.zeros(n - 1, dtype=np.int64)  # where the runs of rows with n, n - 1, ..., 3 hits start
+    np.cumsum(per_j[::-1], out=edges[1:])
+    flat, lock = counts.ravel(), threading.Lock()
 
     def draw(t: int) -> None:
-        for w in range(t, streams, workers):
-            rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-            for classes, hits in _stream_counts(rng, base + (1 if w < extra else 0), order, pmf,
-                                                tables, model, cells_a, cells_b, joint):
-                with lock:
-                    cells[classes] += hits
+        for drawn, hits in _block_counts(seed, range(t, blocks, workers), edges, model,
+                                         cells_a, cells_b, joint):
+            with lock:
+                flat[drawn] += hits
 
     if workers == 1:
         draw(0)
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(draw, range(workers)))  # re-raises a worker's exception
-    return counts
+    return classes, p, counts, tail
 
 
 def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
@@ -595,21 +566,30 @@ def run_local_swapping(cfg: ProtocolConfig) -> ProtocolReport:
         notes.append("pair is not CNOT-transversal; simulated under override")
     k = cfg.qa.k
     seed, samples = cfg.seed, cfg.samples
+    stderr = None
     if cfg.mode == "exact":
         breakdown = _exact_breakdown(cfg.qa, cfg.qb, cfg.model)
-        total = breakdown.sum()
-        if not abs(total - 1.0) <= 1e-9:
-            raise AssertionError(f"pattern masses sum to {total}, expected 1")
-        rate = float(breakdown.ravel()[1:].sum())  # the failing cells, not 1 - fidelity
     else:
         if seed is None:
             seed = secrets.randbits(32)
-        counts = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, samples, seed, cfg.jobs)
-        rate = (samples - int(counts[0, 0])) / samples
-        breakdown = counts / float(samples)
+        classes, p, counts, tail = _mc_breakdown(cfg.qa, cfg.qb, cfg.model, samples, seed,
+                                                 cfg.jobs)
+        rows, passed = max(int(counts.sum()), 1), int(counts[0, 0])
+        breakdown = counts * (tail / rows)  # the sampled stratum, J >= 3
         del counts  # the report reads only its float64 copy, and that copy's mask below
+        np.add.at(breakdown.ravel(), classes, p)  # the exact strata, J <= 2, in pattern order
+        q = passed / rows
+        stderr = tail * math.sqrt(q * (1.0 - q) / rows)
+        if tail and q in (0.0, 1.0):
+            low = float(p[classes == 0].sum())
+            notes.append(f"all {rows} sampled rows with three or more hits "
+                         f"{'succeeded' if q else 'failed'}, so standard_error is 0; the "
+                         f"fidelity lies in [{low!r}, {low + tail!r}]")
+    total = breakdown.sum()
+    if not abs(total - 1.0) <= 1e-9:
+        raise AssertionError(f"pattern masses sum to {total}, expected 1")
+    rate = float(breakdown.ravel()[1:].sum())  # the failing cells, not 1 - fidelity
     fid = float(breakdown[0, 0])
-    stderr = None if cfg.mode == "exact" else float(np.sqrt(max(fid * (1.0 - fid), 0.0) / samples))
     za, xb = np.nonzero(breakdown > 0.0)  # row-major; skips a rounding-level negative cell
     keys = {_class_key(k, a, b): p
             for a, b, p in zip(za.tolist(), xb.tolist(), breakdown[za, xb].tolist())}

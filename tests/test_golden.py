@@ -42,6 +42,7 @@ from csspair import (
     run_local_swapping,
     sampling,
 )
+from csspair import repeater
 from csspair.codes import css_to_text
 from csspair.transversality import is_mirrored_pair
 
@@ -197,6 +198,42 @@ def test_link_montecarlo_records_within_5_sigma_of_exact():
                           [exact.logical_fidelity, *exact.per_pair_marginals]):
             p = min(p, 1.0)
             assert abs(got - p) <= 5 * np.sqrt(p * (1 - p) / report["samples"]), (record, p)
+        checked += 1
+    assert checked == 57
+
+
+def test_link_montecarlo_records_within_5_stratified_sigma_of_exact():
+    """Each Monte Carlo record lies within 5 stratified standard errors of exact mode.
+
+    Monte Carlo adds the rows with at most two hits exactly, F2 of the
+    fidelity, and samples R rows from the stratum J >= 3, of probability
+    tail, so its fidelity errs by tail times a binomial fraction's error.
+    sigma is taken from exact mode, not from the sample: a sampled row
+    succeeds with chance a / tail, a = F_exact - F2, so sigma is
+    tail sqrt(q (1 - q) / R) with q = a / tail.  The seeds are the golden
+    file's, fixed before any run.  Rounding may leave F_exact and the
+    estimate 1e-12 apart where sigma is 0.
+    """
+    pairs = {label: (qa, qb) for label, qa, qb in golden_corpus()}
+    checked = 0
+    for record in json.loads(LINK_GOLDEN.read_text(encoding="utf-8")):
+        report = record["report"]
+        if report["mode"] != "montecarlo":
+            continue
+        if "config" in record:
+            cfg = load_config(FIXTURES / record["config"])
+        else:
+            cfg = ProtocolConfig(*pairs[record["pair"]], ErrorModel(*MONTECARLO_MODEL),
+                                 allow_nontransversal=True)
+        exact = run_local_swapping(replace(cfg, mode="exact", samples=0, seed=None, jobs=1))
+        classes, p, counts, tail = repeater._mc_breakdown(cfg.qa, cfg.qb, cfg.model,
+                                                          report["samples"], report["seed"], 1)
+        rows = max(int(counts.sum()), 1)
+        low = p[classes == 0].sum()
+        q = min(max((exact.logical_fidelity - low) / tail, 0.0), 1.0) if tail else 0.0
+        sigma = tail * np.sqrt(q * (1 - q) / rows)
+        gap = abs(report["logical_fidelity"] - exact.logical_fidelity)
+        assert gap <= 5 * sigma + 1e-12, (record.get("pair", record.get("config")), gap, sigma)
         checked += 1
     assert checked == 57
 

@@ -6,7 +6,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from fractions import Fraction
 from itertools import combinations, product
-from math import comb
+from math import ceil, comb, fsum
 
 import numpy as np
 import pytest
@@ -180,8 +180,10 @@ def test_montecarlo_error_rate_counts_the_failing_samples(pair7_a, pair7_b):
     cfg = ProtocolConfig(qa=pair7_a, qb=pair7_b, model=ErrorModel(0.01, 0.01, 0.002),
                          mode="montecarlo", samples=samples, seed=11)
     rep = run_local_swapping(cfg)
-    passed = round(rep.logical_fidelity * samples)
-    assert rep.logical_error_rate == (samples - passed) / samples
+    # The failing cells, summed directly as in exact mode, not 1 - fidelity.
+    failing = [p for key, p in rep.class_breakdown.items() if key != "zA=00,xB=00"]
+    assert rep.logical_error_rate == pytest.approx(fsum(failing), rel=1e-12)
+    assert rep.logical_error_rate == pytest.approx(1 - rep.logical_fidelity, abs=1e-12)
 
 
 def test_decode_rejects_error_of_wrong_length(steane):
@@ -515,30 +517,28 @@ def test_montecarlo_report_within_class_byte_estimate():
     assert peak <= 17 << 24
 
 
-def split_by_hits(rng, n, model, rows):
-    """A stream's first draw: its rows' hit counts j = 0..n, one multinomial in ascending order
-    of probability."""
+def hit_count_law(n, model):
+    """The Binomial(n, h) pmf of a row's hit count, h clamped at 1, and its tail P(J >= 3)."""
     hit = min(model.hit_rate, 1.0)
     pmf = np.array([comb(n, j) * hit**j * (1 - hit) ** (n - j) for j in range(n + 1)])
-    order = np.argsort(pmf, kind="stable")
-    per_j = np.zeros(n + 1, dtype=np.int64)
-    per_j[order] = rng.multinomial(rows, pmf[order])
-    assert per_j.sum() == rows and not per_j[pmf == 0].any()
-    return per_j
+    return pmf, pmf[3:].sum()
 
 
-def stream_reference_counts(qa, qb, model, samples, seed, jobs):
-    """Class counts of each stream's rows, drawn as `_stream_counts` reads the stream, via tables().
+def sampled_rows(n, model, samples):
+    """R: the rows Monte Carlo draws from the J >= 3 stratum, in proportion to its probability."""
+    return min(samples, ceil(samples * hit_count_law(n, model)[1]))
 
-    Stream w splits its rows by hit count j = 0..n with one multinomial whose
-    categories go in ascending order of probability, then the one-hit rows
-    over the (species, qubit) cells of nonzero rate with another, then the
-    two-hit rows over the (q1 < q2, s1, s2) cells of nonzero probability,
-    qubit pairs in lexicographic order and live species s1, s2 in ascending
-    order, with a third.  The rows with j >= 3 go by descending j,
-    MC_CHUNK_ROWS rows at a time, and Floyd's algorithm places their hits:
-    step i reads the U of every row with more than i hits, then their V; the
-    hit lands on qubit floor(U (t + 1)) with t = n - j + i, or on t when that
+
+def block_reference_counts(qa, qb, model, samples, seed):
+    """Class counts of the sampled rows, drawn as `_mc_breakdown` reads its streams, via tables().
+
+    The R rows with three or more hits are split over j = 3..n hits by one
+    multinomial from SeedSequence(seed) over the pmf given J >= 3, its
+    categories in ascending order of probability, and go by descending j in
+    blocks of MC_CHUNK_ROWS rows, block b drawn from the b-th child of
+    SeedSequence(seed).  Floyd's algorithm places a block's hits: step i
+    reads the U of every row with more than i hits, then their V; the hit
+    lands on qubit floor(U (t + 1)) with t = n - j + i, or on t when that
     qubit is already hit, and V h picks Z on A below f1, X on B from f1 to
     f1 + f2, and both above.  Every row is then an (e_z, e_x) pair of error
     ints decoded whole through the 2^n tables.
@@ -548,54 +548,44 @@ def stream_reference_counts(qa, qb, model, samples, seed, jobs):
     _, class_b = repeater._station_decoder(qb, "x").tables()
     f1, f2, h = model.f1, model.f2, model.hit_rate
     bit = 1 << np.arange(n - 1, -1, -1)  # qubit q's bit in an error int
-    on_a, on_b = np.array([1, 0, 1]), np.array([0, 1, 1])  # species Z on A, X on B, both
-    rate = np.array([model.f1, model.f2, model.f3]) / (h or 1.0)
-    pairs = [(q1, q2, s1, s2) for q1 in range(n) for q2 in range(q1 + 1, n)
-             for s1 in range(3) for s2 in range(3) if rate[s1] and rate[s2]]
-    q1, q2, s1, s2 = np.array(pairs, dtype=np.int64).reshape(-1, 4).T
-    pair_p = rate[s1] * rate[s2] / comb(n, 2)
-    pair_z = on_a[s1] * bit[q1] | on_a[s2] * bit[q2]
-    pair_x = on_b[s1] * bit[q1] | on_b[s2] * bit[q2]
-    streams = min(jobs, samples)
+    pmf, tail = hit_count_law(n, model)
+    rows, chunk = sampled_rows(n, model, samples), repeater.MC_CHUNK_ROWS
     expected = np.zeros((1 << qa.k, 1 << qb.k), dtype=np.int64)
-    for w, child in enumerate(np.random.SeedSequence(seed).spawn(streams)):
-        rows = samples // streams + (1 if w < samples % streams else 0)
-        if not h:
-            expected[0, 0] += rows
-            continue
+    if not rows:
+        return expected
+    cond = pmf[3:] / tail
+    order = np.argsort(cond, kind="stable")
+    per_j = np.zeros(n - 2, dtype=np.int64)
+    per_j[order] = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed))).multinomial(
+        rows, cond[order])
+    assert not per_j[cond == 0].any()
+    every = np.repeat(np.arange(n, 2, -1), per_j[::-1])
+    for b, child in enumerate(np.random.SeedSequence(seed).spawn(-(-rows // chunk))):
         rng = np.random.default_rng(child)
-        per_j = split_by_hits(rng, n, model, rows)
-        expected[0, 0] += per_j[0]
-        cell_p = np.repeat(rate, n) / n
-        species, qubit = np.divmod(np.flatnonzero(cell_p), n)
-        one_z = np.where(species != 1, bit[qubit], 0)  # Z on A, or both
-        one_x = np.where(species != 0, bit[qubit], 0)  # X on B, or both
-        np.add.at(expected, (class_a[one_z], class_b[one_x]),
-                  rng.multinomial(per_j[1], cell_p[cell_p > 0]))
-        if n > 1 and per_j[2]:
-            drawn = pair_p > 0
-            np.add.at(expected, (class_a[pair_z[drawn]], class_b[pair_x[drawn]]),
-                      rng.multinomial(per_j[2], pair_p[drawn]))
-        every = np.repeat(np.arange(n, 2, -1), per_j[:2:-1])
-        for lo in range(0, every.size, repeater.MC_CHUNK_ROWS):
-            hits = every[lo:lo + repeater.MC_CHUNK_ROWS]
-            row = np.arange(hits.size)
-            taken = np.zeros((hits.size, n), dtype=bool)
-            e_z = np.zeros(hits.size, dtype=np.int64)
-            e_x = np.zeros(hits.size, dtype=np.int64)
-            for i in range(hits.max()):
-                a = np.count_nonzero(hits > i)
-                u, v = rng.random((2, a))
-                t = n - hits[:a] + i
-                pos = np.floor(u * (t + 1)).astype(np.int64)
-                pos = np.where(taken[row[:a], pos], t, pos)
-                taken[row[:a], pos] = True
-                kind = v * h
-                e_z[:a] |= np.where((kind < f1) | (kind >= f1 + f2), bit[pos], 0)
-                e_x[:a] |= np.where(kind >= f1, bit[pos], 0)
-            assert np.array_equal(taken.sum(axis=1), hits)
-            np.add.at(expected, (class_a[e_z], class_b[e_x]), 1)
+        hits = every[b * chunk:(b + 1) * chunk]
+        row = np.arange(hits.size)
+        taken = np.zeros((hits.size, n), dtype=bool)
+        e_z = np.zeros(hits.size, dtype=np.int64)
+        e_x = np.zeros(hits.size, dtype=np.int64)
+        for i in range(hits.max()):
+            a = np.count_nonzero(hits > i)
+            u, v = rng.random((2, a))
+            t = n - hits[:a] + i
+            pos = np.floor(u * (t + 1)).astype(np.int64)
+            pos = np.where(taken[row[:a], pos], t, pos)
+            taken[row[:a], pos] = True
+            kind = v * h
+            e_z[:a] |= np.where((kind < f1) | (kind >= f1 + f2), bit[pos], 0)
+            e_x[:a] |= np.where(kind >= f1, bit[pos], 0)
+        assert np.array_equal(taken.sum(axis=1), hits)
+        np.add.at(expected, (class_a[e_z], class_b[e_x]), 1)
     return expected
+
+
+def same_parts(one, other):
+    """Whether two `_mc_breakdown` results hold the same bytes, part by part."""
+    return all(np.asarray(a).dtype == np.asarray(b).dtype
+               and np.asarray(a).tobytes() == np.asarray(b).tobytes() for a, b in zip(one, other))
 
 
 @pytest.mark.parametrize("f", [(0.0, 0.0, 0.0), (0.3, 0.3, 0.4), (0.05, 0.0, 0.01),
@@ -608,34 +598,108 @@ def test_montecarlo_sparse_fold_matches_dense_reference_at_edge_models(pair, f, 
     qa, qb = (pair7_a, pair7_b) if pair == "pair7" else random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(*f)
     samples, seed, jobs = (1 << 15) + 3, 4242, 3
-    counts = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
-    assert np.array_equal(counts, stream_reference_counts(qa, qb, model, samples, seed, jobs))
+    _, p, counts, tail = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
+    assert np.array_equal(counts, block_reference_counts(qa, qb, model, samples, seed))
+    assert counts.sum() == sampled_rows(qa.n, model, samples)
+    assert p.sum() + tail == pytest.approx(1.0, abs=1e-11)
+
+
+def low_weight_masses(qa, qb, model):
+    """{flat joint class: exact mass} of every pattern with at most two hits, by brute force.
+
+    Each pattern's probability is the product law's, f0^(n - j) times the
+    rates of its j hits, in rationals; its (e_z, e_x) error ints are decoded
+    whole through the 2^n tables.
+    """
+    n = qa.n
+    _, class_a = repeater._station_decoder(qa, "z").tables()
+    _, class_b = repeater._station_decoder(qb, "x").tables()
+    rates = [Fraction(f) for f in (model.f1, model.f2, model.f3)]
+    f0 = 1 - sum(rates)
+    species = [(rates[0], 1, 0), (rates[1], 0, 1), (rates[2], 1, 1)]  # (rate, on A, on B)
+    masses = {}
+    for j in range(3):
+        for support in combinations(range(n), j):
+            for kinds in product(species, repeat=j):
+                p = f0 ** (n - j)
+                e_z = e_x = 0
+                for q, (rate, on_a, on_b) in zip(support, kinds):
+                    p *= rate
+                    e_z |= on_a << (n - 1 - q)
+                    e_x |= on_b << (n - 1 - q)
+                cell = int(class_a[e_z]) << qb.k | int(class_b[e_x])
+                masses[cell] = masses.get(cell, 0) + p
+    return masses
+
+
+@pytest.mark.parametrize("f", [(0.02, 0.005, 0.001), (0.3, 0.0, 0.05)])
+@pytest.mark.parametrize("pair", ["pair7", "random15"])
+def test_montecarlo_low_weight_strata_match_rational_sum(pair, f, pair7_a, pair7_b):
+    """The exact strata, J <= 2, against a rational sum over every pattern of weight <= 2."""
+    qa, qb = (pair7_a, pair7_b) if pair == "pair7" else random_cnot_pair(np.random.default_rng(15), 15)
+    model = ErrorModel(*f)
+    classes, p, _, tail = repeater._mc_breakdown(qa, qb, model, 1, 0, 1)
+    expected = low_weight_masses(qa, qb, model)
+    live = sum(rate > 0 for rate in f)
+    assert p.size == 1 + live * qa.n + live**2 * comb(qa.n, 2)  # each pattern once
+    masses = {}
+    for cell, mass in zip(classes.tolist(), p.tolist()):
+        masses[cell] = masses.get(cell, 0) + Fraction(mass)
+    assert {c for c, m in expected.items() if m} == {c for c, m in masses.items() if m}
+    for cell, mass in masses.items():
+        assert abs(mass - expected[cell]) <= expected[cell] * Fraction(1, 10**12), cell
+    assert abs(Fraction(tail) - (1 - sum(expected.values()))) <= Fraction(1, 10**15)
+
+
+def test_montecarlo_reports_the_envelope_when_every_sampled_row_fails():
+    # On the Hamming [[15,7,3]] self-pair every weight-2 or weight-3 error at a station is a
+    # logical error, so a row with three hits always fails; q = 0 and the standard error is 0.
+    q = standard_self_pair("hamming15")
+    model, samples, seed = ErrorModel(0.01, 0.01, 0.002), 100_000, 3
+    cfg = ProtocolConfig(q, q, model, mode="montecarlo", samples=samples, seed=seed)
+    report = run_local_swapping(cfg)
+    classes, p, counts, tail = repeater._mc_breakdown(q, q, model, samples, seed, 1)
+    rows, low = int(counts.sum()), float(p[classes == 0].sum())
+    assert rows == sampled_rows(q.n, model, samples) > 0 and counts[0, 0] == 0
+    assert report.standard_error == 0.0
+    assert report.logical_fidelity == pytest.approx(low, rel=1e-15)
+    assert report.notes == [f"all {rows} sampled rows with three or more hits failed, so "
+                            f"standard_error is 0; the fidelity lies in [{low!r}, {low + tail!r}]"]
+    exact = run_local_swapping(replace(cfg, mode="exact", samples=0, seed=None)).logical_fidelity
+    assert low <= exact <= low + tail
+    # With 0 < q < 1 the report adds no note.
+    golay = standard_self_pair("golay23")
+    assert run_local_swapping(replace(cfg, qa=golay, qb=golay)).notes == []
 
 
 def test_montecarlo_spawns_no_stream_past_samples(pair7_a, pair7_b):
+    # jobs caps the threads: 2^16 of them draw the one block of 20 samples as jobs = 20 does.
     model = ErrorModel(0.1, 0.1, 0.05)
     repeater._mc_breakdown(pair7_a, pair7_b, model, 1, 0, 1)  # builds the decoders outside the trace
     tracemalloc.start()
     try:
-        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16)
+        parts = repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(counts, repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 20))
+    assert same_parts(parts, repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 20))
     assert peak < 1 << 20
 
 
-def test_montecarlo_stream_seeds_do_not_grow_memory(pair7_a, pair7_b):
-    # Spawning all 1000 child seeds up front held about 350 KiB.
+def test_montecarlo_stream_seeds_do_not_grow_memory(monkeypatch, pair7_a, pair7_b):
+    # One-row blocks: about 245 of them, each seeded where it is drawn.  Spawning 1000 child
+    # seeds up front held about 350 KiB.
+    monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", 1)
     model = ErrorModel(0.1, 0.1, 0.05)
     repeater._mc_breakdown(pair7_a, pair7_b, model, 1, 0, 1)  # builds the decoders outside the trace
     tracemalloc.start()
     try:
-        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, 1000, 5, 1000)
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, 1000, 5, 1)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, 1000, 5, 1000))
+    assert counts.sum() > 200
+    assert np.array_equal(counts, block_reference_counts(pair7_a, pair7_b, model, 1000, 5))
     assert peak < 128 << 10
 
 
@@ -645,14 +709,14 @@ def chunk_estimate(workers):
 
 
 def test_montecarlo_working_set_within_chunk_estimate():
-    # f0 = 0: every row has n = 15 hits, one full chunk at a time.
+    # f0 = 0: every row has n = 15 hits, one full block at a time.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
     for samples in (1 << 15, 1 << 17):
         tracemalloc.start()
         try:
-            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
+            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -661,18 +725,18 @@ def test_montecarlo_working_set_within_chunk_estimate():
 
 
 def test_montecarlo_working_set_within_batch_estimate_at_low_noise():
-    # 2^22 rows, of which about 1,900 hold two or more hits: one partial chunk.
+    # 2^22 samples, of which 18 are drawn: the rows with three or more hits, one partial block.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.001, 0.001, 0.0001)
     repeater._mc_breakdown(qa, qb, model, 1, 0, 1)  # builds the decoders outside the trace
     samples = 1 << 22
     tracemalloc.start()
     try:
-        counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)
+        counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 1)[2]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert counts.sum() == samples
+    assert counts.sum() == sampled_rows(15, model, samples) > 0
     assert peak <= chunk_estimate(1)
 
 
@@ -692,59 +756,68 @@ def pools(monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 2, 3])
 def test_montecarlo_counts_do_not_depend_on_worker_count(cores, monkeypatch, pools, pair7_a, pair7_b):
-    # Three workers on five streams: worker 0 draws streams 0 and 3, worker 2 stream 2 alone.
-    # At high noise the [[14,7]] self-pair spreads each chunk over most of its 2^14 class
-    # cells, so concurrent chunks add into the same cells and a lost update would show.
+    # jobs only caps the threads.  At high noise the [[14,7]] self-pair spreads each block over
+    # most of its 2^14 class cells, so concurrent blocks add into the same cells and a lost
+    # update would show; seven threads on ten blocks give thread 0 blocks 0 and 7.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
     wide = random_css_code(np.random.default_rng(4), 14, 7)
-    samples, seed, jobs = 5 * (2 * (1 << 15) + 1) + 3, 99, 5
+    samples, seed = 5 * (2 * (1 << 15) + 1) + 3, 99
     for qa, qb, model in ((pair7_a, pair7_b, ErrorModel(0.05, 0.03, 0.01)),
                           (wide, wide, ErrorModel(0.2, 0.2, 0.1))):
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # many more thread switches than the default
-        try:
-            counts = repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)
-        finally:
-            sys.setswitchinterval(interval)
-        assert counts.dtype == np.int64
-        assert np.array_equal(counts, stream_reference_counts(qa, qb, model, samples, seed, jobs))
-    # The pair7 draw expects about 6,300 rows with three or more hits, under one chunk, so it
-    # runs on the calling thread; nearly all of the wide draw's rows have that many, ten chunks.
-    assert pools == ([cores] if cores >= 2 else [])
+        runs = []
+        for jobs in (1, 2, 7):
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)  # many more thread switches than the default
+            try:
+                runs.append(repeater._mc_breakdown(qa, qb, model, samples, seed, jobs))
+            finally:
+                sys.setswitchinterval(interval)
+        assert runs[0][2].dtype == np.int64
+        assert all(same_parts(run, runs[0]) for run in runs[1:])
+        assert np.array_equal(runs[0][2], block_reference_counts(qa, qb, model, samples, seed))
+    # The pair7 draw samples about 7,400 rows, under one block, so it runs on the calling
+    # thread; nearly all of the wide draw's rows have three or more hits, ten blocks.
+    assert pools == [min(jobs, cores) for jobs in (2, 7) if min(jobs, cores) > 1]
 
 
 def test_montecarlo_starts_threads_only_for_whole_chunks_of_many_hit_rows(monkeypatch, pools,
                                                                            pair7_a, pair7_b):
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
-    # A simulate-sized draw: 10^6 samples on n = 15 hold about 4,000 rows with three or more hits.
+    # A simulate-sized draw: 10^6 samples on n = 15 sample about 4,000 rows, one block.
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
-    counts = repeater._mc_breakdown(qa, qb, ErrorModel(0.01, 0.01, 0.002), 10**6, 1, 2)
-    assert counts.sum() == 10**6
+    counts = repeater._mc_breakdown(qa, qb, ErrorModel(0.01, 0.01, 0.002), 10**6, 1, 2)[2]
+    assert 0 < counts.sum() < repeater.MC_CHUNK_ROWS
     assert pools == []
-    # f0 = 0: every row is drawn hit by hit, four chunks over three streams.
+    # f0 = 0: every row is sampled, in four blocks, the last of five rows.
     model = ErrorModel(0.3, 0.3, 0.4)
-    samples = 4 * repeater.MC_CHUNK_ROWS
-    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, 8, 3)
-    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, 8, 3))
-    assert pools == [2]
+    samples = 3 * repeater.MC_CHUNK_ROWS + 5
+    reference = block_reference_counts(pair7_a, pair7_b, model, samples, 8)
+    for jobs, cores in ((3, 2), (8, 3), (8, 64)):
+        monkeypatch.setattr(repeater, "_usable_cores", lambda cores=cores: cores)
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, 8, jobs)[2]
+        assert np.array_equal(counts, reference), (jobs, cores)
+    assert pools == [2, 3, 4]  # min(jobs, cores, blocks)
 
 
 def test_montecarlo_threads_capped_by_streams_and_cores(monkeypatch, pools, pair7_a, pair7_b):
-    # One-row chunks: each of the 20 rows with hits is a chunk of its own.
+    # One-row blocks: each of the 20 sampled rows is a block of its own.
     monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", 1)
     model = ErrorModel(0.3, 0.3, 0.4)
-    reference = stream_reference_counts(pair7_a, pair7_b, model, 20, 77, 20)
+    reference = block_reference_counts(pair7_a, pair7_b, model, 20, 77)
     cores = repeater._usable_cores()
-    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
+    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16)[2],
+                          reference)
     assert pools == ([min(20, cores)] if cores >= 2 else [])
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 64)
-    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16), reference)
+    assert np.array_equal(repeater._mc_breakdown(pair7_a, pair7_b, model, 20, 77, 2**16)[2],
+                          reference)
     assert pools[-1] == 20
 
 
 def test_montecarlo_decodes_only_the_tables_and_rows_with_three_or_more_hits(monkeypatch):
-    """A simulate-sized draw passes through each decoder's `residual` its rows with three or
-    more hits, the one-hit and two-hit class tables and the image-0 check, and no other row."""
+    """A simulate-sized draw passes through each decoder's `residual` its sampled rows, all
+    with three or more hits, and the one table of patterns with at most two hits: the empty
+    one, 3n one-hit cells and 9 C(n, 2) two-hit cells, and no other row."""
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model, samples, seed, jobs = ErrorModel(0.01, 0.01, 0.002), 10**6, 1, 2
     decoded = {}
@@ -755,19 +828,16 @@ def test_montecarlo_decodes_only_the_tables_and_rows_with_three_or_more_hits(mon
         return residual(self, images)
 
     monkeypatch.setattr(repeater._SyndromeDecoder, "residual", counting)
-    assert repeater._mc_breakdown(qa, qb, model, samples, seed, jobs).sum() == samples
-    many = 0
-    for w in range(jobs):
-        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(w,)))
-        many += int(split_by_hits(rng, qa.n, model, samples // jobs)[3:].sum())
+    many = sampled_rows(qa.n, model, samples)
+    assert repeater._mc_breakdown(qa, qb, model, samples, seed, jobs)[2].sum() == many
     tables = 3 * qa.n + 9 * comb(qa.n, 2)
     assert len(decoded) == 2
     assert all(rows <= many + tables + 1 for rows in decoded.values()), (decoded, many, tables)
 
 
 def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch):
-    # Rows with n = 15 hits: 2^15 of them fill one chunk, drawn on the calling thread, and
-    # 2^17 start two workers, each holding one full chunk.
+    # Rows with n = 15 hits: 2^15 of them fill one block, drawn on the calling thread, and
+    # 2^17 start two threads, each holding one full block.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: 2)
     qa, qb = random_cnot_pair(np.random.default_rng(15), 15)
     model = ErrorModel(0.3, 0.3, 0.4)
@@ -775,7 +845,7 @@ def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch
     for samples in (1 << 15, 1 << 17):
         tracemalloc.start()  # traces the allocations of every thread
         try:
-            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 2)
+            counts = repeater._mc_breakdown(qa, qb, model, samples, 5, 2)[2]
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -783,33 +853,27 @@ def test_montecarlo_working_set_within_chunk_estimate_across_workers(monkeypatch
         assert peak <= chunk_estimate(2), samples
 
 
-def rows_past_two_hits(model, samples, streams):
-    """The expected rows with three or more hits in each of `streams` streams on n = 7."""
-    h = model.hit_rate
-    return samples // streams * (1 - sum(comb(7, j) * h**j * (1 - h) ** (7 - j) for j in range(3)))
-
-
 @pytest.mark.parametrize("cores", [1, 2])
 def test_montecarlo_chunk_boundaries_match_reference(cores, monkeypatch, pair7_a, pair7_b):
-    # A chunk of 1 or 7 rows ends inside nearly every run of equal hit counts.
+    # Blocks of 1 or 7 rows: about 730 or 105 blocks, each with its own seed and hit-count split.
     monkeypatch.setattr(repeater, "_usable_cores", lambda: cores)
     model = ErrorModel(0.1, 0.1, 0.05)
     samples, seed, jobs = 3000, 11, 2
     for chunk in (1, 7):  # the reference reads MC_CHUNK_ROWS too
         monkeypatch.setattr(repeater, "MC_CHUNK_ROWS", chunk)
-        assert rows_past_two_hits(model, samples, jobs) > chunk
-        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-        reference = stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs)
+        assert sampled_rows(7, model, samples) > 100 * chunk
+        counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)[2]
+        reference = block_reference_counts(pair7_a, pair7_b, model, samples, seed)
         assert np.array_equal(counts, reference), chunk
 
 
 def test_montecarlo_default_chunks_match_reference(pair7_a, pair7_b):
-    """At the default chunk size each of the two streams spans two chunks."""
+    """At the default block size the sampled rows span three blocks, the last one partial."""
     model = ErrorModel(0.25, 0.15, 0.05)
     samples, seed, jobs = 2 * (1 << 16) + 7, 11, 2
-    assert rows_past_two_hits(model, samples, jobs) > repeater.MC_CHUNK_ROWS
-    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)
-    assert np.array_equal(counts, stream_reference_counts(pair7_a, pair7_b, model, samples, seed, jobs))
+    assert 2 * repeater.MC_CHUNK_ROWS < sampled_rows(7, model, samples) < 3 * repeater.MC_CHUNK_ROWS
+    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, seed, jobs)[2]
+    assert np.array_equal(counts, block_reference_counts(pair7_a, pair7_b, model, samples, seed))
 
 
 def test_montecarlo_without_hits_draws_nothing(monkeypatch, pair7_a, pair7_b):
@@ -818,11 +882,11 @@ def test_montecarlo_without_hits_draws_nothing(monkeypatch, pair7_a, pair7_b):
 
     monkeypatch.setattr(np.random, "default_rng", no_generator)
     monkeypatch.setattr(np.random, "Generator", no_generator)
-    counts = repeater._mc_breakdown(pair7_a, pair7_b, ErrorModel(0.0, 0.0, 0.0), 12345, 3, 4)
-    expected = np.zeros((4, 4), dtype=np.int64)
-    expected[0, 0] = 12345
+    classes, p, counts, tail = repeater._mc_breakdown(pair7_a, pair7_b, ErrorModel(0.0, 0.0, 0.0),
+                                                      12345, 3, 4)
+    assert classes.tolist() == [0] and p.tolist() == [1.0] and tail == 0.0
     assert counts.dtype == np.int64
-    assert np.array_equal(counts, expected)
+    assert np.array_equal(counts, np.zeros((4, 4), dtype=np.int64))
 
 
 def within(count, trials, p, sigmas=5.0):
@@ -834,29 +898,31 @@ def within(count, trials, p, sigmas=5.0):
                                   (5, (0.04, 0.03, 0.02)), (3, (0.0, 0.0, 1.0)),
                                   (6, (0.05, 0.04, 0.03)), (4, (0.3, 0.3, 1e-200))])
 def test_montecarlo_rows_follow_the_channel_law(n, f):
-    """Sampled row patterns against the exact product law: a chi-square test at a fixed seed.
+    """Sampled row patterns against the product law given J >= 3: a chi-square test at a fixed seed.
 
     On the [[n,n]] code with no checks, both decoders are the identity: a
     row's class pair (zA, xB) is its error pattern, Z on A and X on B.  So
     the counts are the sampler's pattern counts with no decoding between,
-    against P(pattern) = prod over qubits of (f0, f1, f2, f3)[digit].  An
-    off-by-one position, a biased subset draw or swapped species thresholds,
-    which the stream reference would copy, fail here.  At n = 6 with all
-    three species live, two-hit rows outnumber the rows with three or more
-    hits; at f3 = 1e-200 a two-hit cell with both hits correlated has
-    probability 0 (it underflows), so it must never be drawn.
+    against P(pattern) = prod over qubits of (f0, f1, f2, f3)[digit], given
+    that three or more qubits are hit.  An off-by-one position, a biased
+    subset draw, a wrong hit-count split or swapped species thresholds,
+    which the block reference would copy, fail here.  At f3 = 1e-200 a
+    pattern with two correlated hits has probability 0 (it underflows), so
+    it must never be drawn.
     """
     full = make_css(make_classical(BitMatrix.identity(n)), make_classical(BitMatrix.identity(n)))
     model = ErrorModel(*f)
-    samples = 400_000
-    counts = repeater._mc_breakdown(full, full, model, samples, 20261021, 3).ravel()
+    counts = repeater._mc_breakdown(full, full, model, 2_000_000, 20261021, 3)[2].ravel()
+    rows = counts.sum()
     za, xb = np.divmod(np.arange(counts.size), 1 << n)
     prob = np.ones(counts.size)
     for q in range(n):
         digit = (za >> q & 1) + 2 * (xb >> q & 1)
         prob *= np.array(model.weights)[digit]
-    assert counts[prob == 0].sum() == 0
-    expected = samples * prob
+    prob[np.bitwise_count(za | xb) < 3] = 0.0
+    prob /= prob.sum()
+    assert rows > 10_000 and counts[prob == 0].sum() == 0
+    expected = rows * prob
     big = expected >= 5  # the rest are pooled into one bin
     observed = np.append(counts[big], counts[~big].sum())
     expected = np.append(expected[big], expected[~big].sum())
@@ -890,19 +956,25 @@ def test_montecarlo_multinomial_remainders_go_to_possible_categories(f, monkeypa
 
     monkeypatch.setattr(np.random, "default_rng", Recording)
     full = make_css(make_classical(BitMatrix.identity(4)), make_classical(BitMatrix.identity(4)))
-    assert repeater._mc_breakdown(full, full, ErrorModel(*f), 10_000, 5, 2).sum() == 10_000
+    model = ErrorModel(*f)
+    counts = repeater._mc_breakdown(full, full, model, 10_000, 5, 2)[2]
+    assert counts.sum() == sampled_rows(4, model, 10_000)
     assert last and min(last) > 0
 
 
 @pytest.mark.parametrize("f", [(0.02, 0.005, 0.001), (0.05, 0.0, 0.0), (0.3, 0.3, 0.4)])
 def test_montecarlo_cells_match_exact_breakdown(f, pair7_a, pair7_b):
+    # Exact mode's mass of a cell, less its exact J <= 2 part, over P(J >= 3) is the chance
+    # that a sampled row lands there.
     model = ErrorModel(*f)
-    samples = 200_000
-    counts = repeater._mc_breakdown(pair7_a, pair7_b, model, samples, 1919, 2)
-    exact = repeater._exact_breakdown(pair7_a, pair7_b, model)
-    for cell in np.ndindex(exact.shape):
-        p = min(max(exact[cell], 0.0), 1.0)
-        assert within(counts[cell], samples, p), (cell, counts[cell], samples * p)
+    classes, p, counts, tail = repeater._mc_breakdown(pair7_a, pair7_b, model, 200_000, 1919, 2)
+    exact = repeater._exact_breakdown(pair7_a, pair7_b, model).ravel()
+    low = np.bincount(classes, p, exact.size)
+    rows = counts.sum()
+    assert rows == sampled_rows(7, model, 200_000)
+    for cell, count in enumerate(counts.ravel().tolist()):
+        p = min(max((exact[cell] - low[cell]) / tail, 0.0), 1.0)
+        assert within(count, rows, p), (cell, count, rows * p)
 
 
 # -- perfect codes: known answers from weight enumerators -------------------------
